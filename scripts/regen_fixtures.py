@@ -7,6 +7,11 @@ searches (deterministically) for two instances the derived tests need:
 one whose barrel-shifter problem is infeasible, and one where the greedy
 baseline pass leaves at least one cell empty.
 
+Separately it records golden traces: the digest of every backtracking
+solve (status, mapping, stats and full trace) on a seeded set of small
+instances, so a change to the solver's internals can be checked to
+search exactly as before.
+
 Run from the repository root:  python3 scripts/regen_fixtures.py
 """
 
@@ -15,19 +20,29 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+import sys
 
 from bankmap import (
+    FillRule,
+    LayoutConventions,
     NetworkObjective,
     ProblemSpec,
     SchedulePair,
+    SolveOptions,
     brute_force_solve,
     build_tiles,
     greedy_fill,
     instance_key,
+    solve,
     validate_permutation,
 )
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "pinned.json"
+TESTS = pathlib.Path(__file__).resolve().parent.parent / "tests"
+sys.path.insert(0, str(TESTS))
+from helpers import outcome_digest  # noqa: E402
+
+OUT = TESTS / "fixtures" / "pinned.json"
+GOLDEN_OUT = TESTS / "fixtures" / "golden_traces.json"
 
 DEMO_PERMUTATION = [1, 9, 10, 5, 0, 11, 2, 7, 3, 6, 8, 4]
 
@@ -91,6 +106,57 @@ def find_greedy_gap(seed: int = 0) -> dict:
             }
 
 
+def golden_traces(count: int = 200, seed: int = 0) -> list:
+    """Seeded instances (L <= 24, X in {2, 3, 4}, both interleaved fills)
+    with the digest of each solve.
+
+    Every instance is solved for both objectives. Every third one is also
+    solved barrel-strict, and every fourth under a three-node budget, so
+    solved, infeasible and budget-exhausted outcomes all appear.
+    """
+    rng = random.Random(seed)
+    fills = (FillRule.COLUMN_MAJOR_SEQUENCE, FillRule.ROW_MAJOR_BLOCKS)
+    instances = []
+    for i in range(count):
+        parallelism = rng.choice([2, 3, 4])
+        length = parallelism * rng.randrange(1, 24 // parallelism + 1)
+        entries = list(range(length))
+        rng.shuffle(entries)
+        fill = fills[i % 2]
+        spec = ProblemSpec(
+            validate_permutation(entries), parallelism, LayoutConventions(interleaved_fill=fill)
+        )
+        queries = [(objective, False, None) for objective in NetworkObjective]
+        if i % 3 == 0:
+            queries.append((NetworkObjective.BARREL_SHIFTER, True, None))
+        if i % 4 == 1:
+            queries.append((list(NetworkObjective)[i // 4 % 2], False, 3))
+        runs = []
+        for objective, strict, max_nodes in queries:
+            options = SolveOptions(strict_objective=strict, max_nodes=max_nodes, trace=True)
+            outcome = solve(spec, objective, options)
+            runs.append({
+                "objective": objective.value,
+                "strict_objective": strict,
+                "max_nodes": max_nodes,
+                "status": outcome.status.value,
+                "digest": outcome_digest(outcome),
+            })
+        instances.append({
+            "permutation": entries,
+            "parallelism": parallelism,
+            "interleaved_fill": fill.value,
+            "runs": runs,
+        })
+    return instances
+
+
+def write_golden(instances: list) -> None:
+    # one instance per line keeps the file diffable
+    lines = ",\n".join("  " + json.dumps(entry) for entry in instances)
+    GOLDEN_OUT.write_text("[\n" + lines + "\n]\n")
+
+
 def main() -> None:
     fixtures = {
         "oracle_counts": oracle_entries(),
@@ -106,6 +172,11 @@ def main() -> None:
           f"{fixtures['barrel_infeasible']['permutation']}")
     print(f"  greedy gap after {fixtures['greedy_gap']['attempts']} attempt(s): "
           f"{fixtures['greedy_gap']['permutation']}")
+    golden = golden_traces()
+    write_golden(golden)
+    statuses = [run["status"] for entry in golden for run in entry["runs"]]
+    print(f"wrote {GOLDEN_OUT}: {len(statuses)} solves on {len(golden)} instances, "
+          + ", ".join(f"{s} {statuses.count(s)}" for s in sorted(set(statuses))))
 
 
 if __name__ == "__main__":

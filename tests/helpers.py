@@ -1,6 +1,9 @@
 """Shared generators and comparison helpers for the test suite."""
 
+import dataclasses
+import hashlib
 import itertools
+import json
 
 from hypothesis import strategies as st
 
@@ -40,3 +43,24 @@ def relabel_equal(a, b):
         if all(sigma[v] == w for v, w in zip(a, b)):
             return True
     return False
+
+
+def outcome_digest(outcome):
+    """sha256 of a solve outcome as canonical JSON.
+
+    Covers the status, mapping, objective_met, stats and every trace
+    event as [kind, order value or null, column, data, banks], so two
+    solves share a digest only if they searched identically.
+    """
+    doc = {
+        "status": outcome.status.value,
+        "mapping": outcome.mapping,
+        "objective_met": outcome.objective_met,
+        "stats": dataclasses.asdict(outcome.stats),
+        "trace": [
+            [e.kind, e.order.value if e.order else None, e.column, e.data, e.banks]
+            for e in outcome.trace or ()
+        ],
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()

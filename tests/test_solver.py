@@ -1,12 +1,15 @@
 import copy
 import itertools
+import json
 import random
 
 import pytest
 
 from bankmap import (
     ColumnRef,
+    FillRule,
     InvariantViolation,
+    LayoutConventions,
     MappingState,
     NetworkObjective,
     Order,
@@ -25,8 +28,8 @@ from bankmap import (
     verify_mapping,
 )
 from bankmap.solver import completion_count
-from conftest import DEMO_PERMUTATION, KNOWN_MAPPING
-from helpers import random_problem, size_parallelism_pairs
+from conftest import DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
+from helpers import outcome_digest, random_problem, size_parallelism_pairs
 
 BARREL = NetworkObjective.BARREL_SHIFTER
 CROSSBAR = NetworkObjective.CROSSBAR
@@ -297,3 +300,26 @@ def test_solved_outcomes_are_verifier_clean():
         assert outcome.status is Status.SOLVED
         report = verify_mapping(outcome.mapping, SchedulePair.from_problem(spec))
         assert report.valid and not report.conflicts
+
+
+def test_golden_traces_reproduce():
+    # digests of status, mapping, stats and the full trace, recorded by
+    # scripts/regen_fixtures.py; any change in how the search moves shows here
+    golden = json.loads((FIXTURE_DIR / "golden_traces.json").read_text())
+    seen = set()
+    for entry in golden:
+        conventions = LayoutConventions(interleaved_fill=FillRule(entry["interleaved_fill"]))
+        spec = ProblemSpec(
+            validate_permutation(entry["permutation"]), entry["parallelism"], conventions
+        )
+        for run in entry["runs"]:
+            options = SolveOptions(
+                strict_objective=run["strict_objective"],
+                max_nodes=run["max_nodes"],
+                trace=True,
+            )
+            outcome = solve(spec, NetworkObjective(run["objective"]), options)
+            assert outcome.status.value == run["status"], (entry["permutation"], run)
+            assert outcome_digest(outcome) == run["digest"], (entry["permutation"], run)
+            seen.add(outcome.status)
+    assert seen == set(Status)
