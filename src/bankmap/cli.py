@@ -17,6 +17,7 @@ exhausted, 4 verification found collisions.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -69,6 +70,11 @@ def _fill_rule(value, field: str) -> FillRule:
         ) from None
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which is an int subclass in Python
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_problem(doc: dict) -> tuple[ProblemSpec, NetworkObjective]:
     unknown = set(doc) - PROBLEM_KEYS
     if unknown:
@@ -76,10 +82,10 @@ def parse_problem(doc: dict) -> tuple[ProblemSpec, NetworkObjective]:
     if "permutation" not in doc:
         raise InputFormatError("permutation", "missing")
     if not isinstance(doc["permutation"], list) or not all(
-        isinstance(v, int) for v in doc["permutation"]
+        _is_int(v) for v in doc["permutation"]
     ):
         raise InputFormatError("permutation", "must be a list of integers")
-    if not isinstance(doc.get("parallelism"), int):
+    if not _is_int(doc.get("parallelism")):
         raise InputFormatError("parallelism", "must be an integer")
     conventions = LayoutConventions()
     if "conventions" in doc:
@@ -125,7 +131,7 @@ def parse_mapping(doc: dict, schedules: SchedulePair) -> tuple:
     bank_of: list = [None] * schedules.size
     for b, group in enumerate(banks):
         for datum in group:
-            if not isinstance(datum, int) or not 0 <= datum < schedules.size:
+            if not _is_int(datum) or not 0 <= datum < schedules.size:
                 raise InputFormatError("banks", f"data id {datum!r} out of range")
             if bank_of[datum] is not None:
                 raise InputFormatError("banks", f"data id {datum} listed twice")
@@ -218,9 +224,8 @@ def _pretty_solve(report: dict, schedules: SchedulePair) -> None:
                   f"({words['distinct_word_count']} distinct)", file=sys.stderr)
 
 
-def _run_solver(args, spec: ProblemSpec, objective: NetworkObjective):
+def _run_solver(args, spec: ProblemSpec, schedules: SchedulePair, objective: NetworkObjective):
     """Returns (solver_name, status, mapping, stats, trace)."""
-    schedules = SchedulePair.from_problem(spec)
     if args.solver == "baseline":
         tiles = build_tiles(schedules)
         mapping = repair_complete(greedy_fill(tiles), tiles, args.seed)
@@ -240,18 +245,16 @@ def _run_solver(args, spec: ProblemSpec, objective: NetworkObjective):
         trace=args.trace,
     )
     outcome = solve(spec, objective, options)
-    stats = {
-        "nodes": outcome.stats.nodes,
-        "backtracks": outcome.stats.backtracks,
-        "max_depth": outcome.stats.max_depth,
-    }
+    stats = dataclasses.asdict(outcome.stats)
     return "backtracking", outcome.status, outcome.mapping, stats, outcome.trace
 
 
 def cmd_solve(args) -> int:
+    if args.max_nodes is not None and args.max_nodes < 1:
+        raise InputFormatError("--max-nodes", f"must be at least 1, got {args.max_nodes}")
     spec, objective = parse_problem(_load_json(args.problem, "problem"))
     schedules = SchedulePair.from_problem(spec)
-    solver_name, status, mapping, stats, trace = _run_solver(args, spec, objective)
+    solver_name, status, mapping, stats, trace = _run_solver(args, spec, schedules, objective)
     if trace:
         for event in trace:
             where = f"{event.order.value} column {event.column}" if event.order else ""
@@ -291,11 +294,7 @@ def cmd_compare(args) -> int:
     runs = []
     solver_report = build_report(
         spec, objective, "backtracking", outcome.status, outcome.mapping, schedules,
-        {
-            "nodes": outcome.stats.nodes,
-            "backtracks": outcome.stats.backtracks,
-            "max_depth": outcome.stats.max_depth,
-        },
+        dataclasses.asdict(outcome.stats),
     )
     runs.append(solver_report)
     if args.seed_range:

@@ -70,19 +70,21 @@ def objective_compatible(
     return True
 
 
-def _rotation_consistent(reference, column_cells, row: int, bank: int) -> bool:
+def _rotation_consistent(
+    reference, reference_used: int, column_cells, row: int, bank: int
+) -> bool:
     # Is there a rotation of the (possibly partial) reference pattern that
     # agrees with the column's filled cells plus `bank` at `row`? Unfilled
-    # reference slots may take any bank not already used in the reference.
+    # reference slots may take any bank not already used in the reference
+    # (reference_used is its used-bank bitmask).
     size = len(reference)
-    used_in_reference = {b for b in reference if b is not None}
     cells = [(j, v) for j, v in enumerate(column_cells) if v is not None]
     cells.append((row, bank))
     for r in range(size):
         for j, v in cells:
             have = reference[(j - r) % size]
             if have is None:
-                if v in used_in_reference:
+                if reference_used >> v & 1:
                     break
             elif have != v:
                 break
@@ -97,15 +99,19 @@ def partition_admissible(
     """Split a cell's structurally legal banks into (objective-friendly, rest).
 
     Both halves are in ascending bank id. `state` is a solver MappingState;
-    only its grids and structural_banks are consulted.
+    only its free_banks, column and used_banks accessors are consulted.
     """
-    structural = state.structural_banks(column.order, row, column.index)
+    free = state.free_banks(column.order, row, column.index)
+    structural = [b for b in range(state.rows) if free >> b & 1]
     if objective is NetworkObjective.CROSSBAR:
         return structural, []
-    grid = state.grid(column.order)
-    reference = [cells[0] for cells in grid]
-    column_cells = [cells[column.index] for cells in grid]
-    preferred = [b for b in structural if _rotation_consistent(reference, column_cells, row, b)]
+    reference = state.column(column.order, 0)
+    reference_used = state.used_banks(column.order, 0)
+    column_cells = state.column(column.order, column.index)
+    preferred = [
+        b for b in structural
+        if _rotation_consistent(reference, reference_used, column_cells, row, b)
+    ]
     rest = [b for b in structural if b not in preferred]
     return preferred, rest
 

@@ -1,10 +1,11 @@
 """Backtracking search for a collision-free bank mapping.
 
-The solver works on two mirrored partial matrices, one per access order,
-plus a per-datum bank table. It repeats: pick the column (in either
-matrix) with the fewest legal completions, enumerate that column's full
-assignments in objective-preferred order, apply one (mirroring every
-newly decided datum into its cell in the other matrix), and recurse; a
+The solver's state is a partial datum -> bank table plus, for every
+column of each access order, a bitmask of the banks already used in it.
+It repeats: pick the column (of either order) with the fewest legal
+completions, enumerate that column's full assignments in
+objective-preferred order, apply one (each newly decided datum also
+marks its bank used in its column of the other order), and recurse; a
 dead end undoes the most recent assignment and advances to its next
 alternative. The first natural column is pinned to the identity bank
 pattern, which removes the bank-relabeling symmetry without losing
@@ -36,25 +37,22 @@ from .schedule import ColumnRef, Order, ProblemSpec, SchedulePair
 
 @dataclass
 class MappingState:
-    """The paired partial mapping matrices plus the datum -> bank table.
+    """The datum -> bank table plus a used-bank bitmask per column.
 
-    Both grids always agree with bank_of: an assignment writes the bank
-    at the datum's cell in each matrix, so cross-matrix consistency holds
-    by construction and only column distinctness needs searching.
+    used[order][t] has bit b set when bank b is mapped to a datum of that
+    order's column t. assign and retract keep every mask in step with
+    bank_of, and assign refuses a bank already used in either of the
+    datum's columns, so column distinctness holds by construction.
     """
 
     schedules: SchedulePair
-    grids: dict
     bank_of: list
+    used: dict
 
     @classmethod
     def fresh(cls, schedules: SchedulePair) -> "MappingState":
-        rows, cycles = schedules.rows, schedules.cycles
-        grids = {
-            order: [[None] * cycles for _ in range(rows)]
-            for order in (Order.NATURAL, Order.INTERLEAVED)
-        }
-        return cls(schedules, grids, [None] * schedules.size)
+        used = {order: [0] * schedules.cycles for order in Order}
+        return cls(schedules, [None] * schedules.size, used)
 
     @property
     def rows(self) -> int:
@@ -65,46 +63,49 @@ class MappingState:
         return self.schedules.cycles
 
     def grid(self, order: Order) -> list:
-        return self.grids[order]
+        """The order's X-by-N matrix of mapped banks, None where unmapped."""
+        return [[self.bank_of[d] for d in row] for row in self.schedules.of(order).cells]
+
+    def column(self, order: Order, index: int) -> list:
+        """Mapped bank of each row's datum in one column, None where unmapped."""
+        return [self.bank_of[row[index]] for row in self.schedules.of(order).cells]
+
+    def used_banks(self, order: Order, index: int) -> int:
+        return self.used[order][index]
+
+    def free_banks(self, order: Order, row: int, index: int) -> int:
+        """Bitmask of the banks legal for one cell: unused in this column
+        and in the datum's column of the other order."""
+        datum = self.schedules.of(order).cells[row][index]
+        _, other_index = self.schedules.position(order.other, datum)
+        taken = self.used[order][index] | self.used[order.other][other_index]
+        return ((1 << self.rows) - 1) & ~taken
 
     def assign(self, datum: int, bank: int) -> None:
         if self.bank_of[datum] is not None:
             raise InvariantViolation(f"datum {datum} is already mapped")
+        bit = 1 << bank
+        columns = [(order, self.schedules.position(order, datum)[1]) for order in Order]
+        for order, t in columns:
+            if self.used[order][t] & bit:
+                raise InvariantViolation(f"bank {bank} already used in {order.value} column {t}")
         self.bank_of[datum] = bank
-        for order in self.grids:
-            p, t = self.schedules.position(order, datum)
-            self.grids[order][p][t] = bank
+        for order, t in columns:
+            self.used[order][t] |= bit
 
     def retract(self, datum: int) -> None:
-        if self.bank_of[datum] is None:
+        bank = self.bank_of[datum]
+        if bank is None:
             raise InvariantViolation(f"datum {datum} is not mapped")
         self.bank_of[datum] = None
-        for order in self.grids:
-            p, t = self.schedules.position(order, datum)
-            self.grids[order][p][t] = None
-
-    def column_banks(self, order: Order, index: int) -> set:
-        grid = self.grids[order]
-        return {grid[p][index] for p in range(self.rows) if grid[p][index] is not None}
-
-    def structural_banks(self, order: Order, row: int, index: int) -> list[int]:
-        """Banks legal for one empty cell: unused in this column and in the
-        datum's column of the other matrix. Ascending bank id."""
-        datum = self.schedules.of(order).cells[row][index]
-        other = order.other
-        _, other_index = self.schedules.position(other, datum)
-        used = self.column_banks(order, index) | self.column_banks(other, other_index)
-        return [b for b in range(self.rows) if b not in used]
+        for order in Order:
+            self.used[order][self.schedules.position(order, datum)[1]] &= ~(1 << bank)
 
     def empty_cells(self, column: ColumnRef) -> list[tuple[int, int]]:
         """(row, datum) pairs of the column's unmapped cells, by row."""
-        grid = self.grids[column.order]
+        t = column.index
         cells = self.schedules.of(column.order).cells
-        return [
-            (p, cells[p][column.index])
-            for p in range(self.rows)
-            if grid[p][column.index] is None
-        ]
+        return [(p, row[t]) for p, row in enumerate(cells) if self.bank_of[row[t]] is None]
 
     def is_complete(self) -> bool:
         return all(b is not None for b in self.bank_of)
@@ -115,31 +116,22 @@ class MappingState:
         return tuple(self.bank_of)
 
     def check_invariants(self) -> None:
-        """Cross-matrix agreement and column distinctness; raises on a bug."""
-        for order in self.grids:
-            sched = self.schedules.of(order)
-            grid = self.grids[order]
+        """Masks agree with the bank table and columns are distinct; raises on a bug."""
+        for order in Order:
             for t in range(self.cycles):
-                seen = set()
-                for p in range(self.rows):
-                    bank = grid[p][t]
-                    if bank != self.bank_of[sched.cells[p][t]]:
-                        raise InvariantViolation(
-                            f"{order.value} cell ({p}, {t}) disagrees with the bank table"
-                        )
-                    if bank is None:
-                        continue
-                    if bank in seen:
-                        raise InvariantViolation(
-                            f"bank {bank} used twice in {order.value} column {t}"
-                        )
-                    seen.add(bank)
+                banks = [b for b in self.column(order, t) if b is not None]
+                if len(set(banks)) != len(banks):
+                    raise InvariantViolation(f"a bank is used twice in {order.value} column {t}")
+                if self.used[order][t] != sum(1 << b for b in banks):
+                    raise InvariantViolation(
+                        f"{order.value} column {t} mask disagrees with the bank table"
+                    )
 
 
 def initialize(state: MappingState) -> MappingState:
     """Pin the first natural column to the identity pattern (row p -> bank p).
 
-    The assignment lands in both matrices; expects a fresh state.
+    Expects a fresh state.
     """
     if any(b is not None for b in state.bank_of):
         raise InvariantViolation("initialize expects an empty state")
@@ -153,16 +145,11 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
     """Number of legal whole-column completions under structural rules only.
 
     Counts assignments of pairwise-distinct banks, one per empty cell,
-    each drawn from the cell's structurally legal set (bitmask DP).
+    each drawn from the cell's free-bank mask (bitmask DP).
     """
-    masks = []
-    for row, _ in state.empty_cells(column):
-        mask = 0
-        for b in state.structural_banks(column.order, row, column.index):
-            mask |= 1 << b
-        masks.append(mask)
     layer = {0: 1}
-    for mask in masks:
+    for row, _ in state.empty_cells(column):
+        mask = state.free_banks(column.order, row, column.index)
         nxt: dict = {}
         for used, count in layer.items():
             free = mask & ~used
@@ -244,10 +231,12 @@ def candidate_assignments(
 def assign_column(
     state: MappingState, column: ColumnRef, banks: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Fill a column's empty cells and mirror each datum into the other matrix.
+    """Fill a column's empty cells; each datum also lands in its column of
+    the other order.
 
     Returns the assigned data as the undo record for retract_column.
-    Raises InvariantViolation if the tuple is not a legal candidate.
+    Raises InvariantViolation, leaving the state untouched, if the tuple
+    is not a legal candidate.
     """
     cells = state.empty_cells(column)
     if len(banks) != len(cells):
@@ -257,7 +246,7 @@ def assign_column(
     if len(set(banks)) != len(banks):
         raise InvariantViolation("column assignment repeats a bank")
     for (row, _), bank in zip(cells, banks):
-        if bank not in state.structural_banks(column.order, row, column.index):
+        if bank < 0 or not state.free_banks(column.order, row, column.index) >> bank & 1:
             raise InvariantViolation(
                 f"bank {bank} is not admissible at row {row} of column {column}"
             )

@@ -100,6 +100,30 @@ def test_solve_bad_objective_named(tmp_path, capsys):
     assert "objective" in err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"permutation": [True, False], "parallelism": True}, "permutation"),
+        ({"permutation": [1, 0], "parallelism": True}, "parallelism"),
+    ],
+)
+def test_solve_json_booleans_rejected(tmp_path, capsys, doc, field):
+    # true/false are ints to Python; they must not pass for data ids or X
+    problem = write_json(tmp_path / "bools.json", doc)
+    code, out, err = run(capsys, "solve", problem)
+    assert code == 1
+    assert out == ""
+    assert f"error: {field}: must be" in err
+
+
+def test_verify_boolean_data_id_rejected(demo_file, tmp_path, capsys):
+    banks = [[True, 0, 6, 3], [4, 5, 10, 7], [8, 9, 2, 11]]
+    mapping = write_json(tmp_path / "bools.json", {"banks": banks})
+    code, _, err = run(capsys, "verify", demo_file, mapping)
+    assert code == 1
+    assert "error: banks: data id True" in err
+
+
 def test_solve_conventions_accepted(tmp_path, capsys):
     problem = write_json(
         tmp_path / "conv.json",
@@ -142,6 +166,14 @@ def test_max_nodes_budget_exit(demo_file, capsys):
     code, out, _ = run(capsys, "solve", demo_file, "--max-nodes", "2")
     assert code == 3
     assert json.loads(out)["status"] == "budget-exhausted"
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_max_nodes_below_one_is_input_error(demo_file, capsys, budget):
+    code, out, err = run(capsys, "solve", demo_file, "--max-nodes", budget)
+    assert code == 1
+    assert out == ""
+    assert "--max-nodes: must be at least 1" in err
 
 
 def test_solver_baseline_flag(demo_file, capsys):

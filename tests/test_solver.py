@@ -178,6 +178,26 @@ def test_assign_rejects_illegal_tuples(demo_pair):
         assign_column(state, column, (1, 0, 2))
 
 
+def test_assign_rejects_bank_used_in_either_column(demo_pair):
+    state = initialize(MappingState.fresh(demo_pair))
+    # datum 5 shares interleaved column 1 with datum 0 (bank 0)
+    with pytest.raises(InvariantViolation):
+        state.assign(5, 0)
+    state.assign(1, 1)
+    # datum 5 shares natural column 1 with datum 1 (bank 1)
+    with pytest.raises(InvariantViolation):
+        state.assign(5, 1)
+    assert state.bank_of[5] is None
+    state.check_invariants()
+
+
+def test_check_invariants_catches_stale_mask(demo_pair):
+    state = initialize(MappingState.fresh(demo_pair))
+    state.used[Order.INTERLEAVED][1] = 0  # forget datum 0's bank
+    with pytest.raises(InvariantViolation):
+        state.check_invariants()
+
+
 def test_retract_restores_previous_state(demo_pair):
     state = fig_state(demo_pair)
     before = copy.deepcopy(state)
