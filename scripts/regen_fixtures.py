@@ -9,8 +9,8 @@ baseline pass leaves at least one cell empty.
 
 Separately it records golden traces: the digest of every backtracking
 solve (status, mapping, stats and full trace) on a seeded set of small
-instances, so a change to the solver's internals can be checked to
-search exactly as before.
+instances plus a few X=8 ones, so a change to the solver's internals can
+be checked to search exactly as before.
 
 Run from the repository root:  python3 scripts/regen_fixtures.py
 """
@@ -106,6 +106,37 @@ def find_greedy_gap(seed: int = 0) -> dict:
             }
 
 
+def golden_entry(entries: list, parallelism: int, fill: FillRule, queries: list) -> dict:
+    """One instance with the status and digest of each (objective, strict,
+    max_nodes) query solved on it."""
+    spec = ProblemSpec(
+        validate_permutation(entries), parallelism, LayoutConventions(interleaved_fill=fill)
+    )
+    runs = []
+    for objective, strict, max_nodes in queries:
+        options = SolveOptions(strict_objective=strict, max_nodes=max_nodes, trace=True)
+        outcome = solve(spec, objective, options)
+        runs.append({
+            "objective": objective.value,
+            "strict_objective": strict,
+            "max_nodes": max_nodes,
+            "status": outcome.status.value,
+            "digest": outcome_digest(outcome),
+        })
+    return {
+        "permutation": entries,
+        "parallelism": parallelism,
+        "interleaved_fill": fill.value,
+        "runs": runs,
+    }
+
+
+def shuffled(length: int, seed: int) -> list:
+    entries = list(range(length))
+    random.Random(seed).shuffle(entries)
+    return entries
+
+
 def golden_traces(count: int = 200, seed: int = 0) -> list:
     """Seeded instances (L <= 24, X in {2, 3, 4}, both interleaved fills)
     with the digest of each solve.
@@ -122,32 +153,37 @@ def golden_traces(count: int = 200, seed: int = 0) -> list:
         length = parallelism * rng.randrange(1, 24 // parallelism + 1)
         entries = list(range(length))
         rng.shuffle(entries)
-        fill = fills[i % 2]
-        spec = ProblemSpec(
-            validate_permutation(entries), parallelism, LayoutConventions(interleaved_fill=fill)
-        )
         queries = [(objective, False, None) for objective in NetworkObjective]
         if i % 3 == 0:
             queries.append((NetworkObjective.BARREL_SHIFTER, True, None))
         if i % 4 == 1:
             queries.append((list(NetworkObjective)[i // 4 % 2], False, 3))
-        runs = []
-        for objective, strict, max_nodes in queries:
-            options = SolveOptions(strict_objective=strict, max_nodes=max_nodes, trace=True)
-            outcome = solve(spec, objective, options)
-            runs.append({
-                "objective": objective.value,
-                "strict_objective": strict,
-                "max_nodes": max_nodes,
-                "status": outcome.status.value,
-                "digest": outcome_digest(outcome),
-            })
-        instances.append({
-            "permutation": entries,
-            "parallelism": parallelism,
-            "interleaved_fill": fill.value,
-            "runs": runs,
-        })
+        instances.append(golden_entry(entries, parallelism, fills[i % 2], queries))
+    return instances
+
+
+def golden_traces_x8() -> list:
+    """X=8 solves, where one assignment touches many columns' counts.
+
+    The crossbar references are random.Random(0) shuffles at L=192 and
+    L=384 (the latter backtracks about two thousand times). At L=64, seeds
+    0-3 under both fills are solved for both objectives, the barrel one
+    under a 300-node budget that its strict pass spends. Seed 5
+    (column-major) and seed 11 (row-major) are the seeds in 0-11 whose
+    strict barrel pass proves infeasibility within 800 nodes, so they are
+    solved relaxed without a budget and the relaxed pass runs too.
+    """
+    column_major, row_major = FillRule.COLUMN_MAJOR_SEQUENCE, FillRule.ROW_MAJOR_BLOCKS
+    crossbar = [(NetworkObjective.CROSSBAR, False, None)]
+    instances = [golden_entry(shuffled(length, 0), 8, column_major, crossbar)
+                 for length in (192, 384)]
+    budgeted = crossbar + [(NetworkObjective.BARREL_SHIFTER, False, 300)]
+    for seed in range(4):
+        for fill in (column_major, row_major):
+            instances.append(golden_entry(shuffled(64, seed), 8, fill, budgeted))
+    relaxed = [(NetworkObjective.BARREL_SHIFTER, False, None)]
+    for seed, fill in ((5, column_major), (11, row_major)):
+        instances.append(golden_entry(shuffled(64, seed), 8, fill, relaxed))
     return instances
 
 
@@ -172,7 +208,7 @@ def main() -> None:
           f"{fixtures['barrel_infeasible']['permutation']}")
     print(f"  greedy gap after {fixtures['greedy_gap']['attempts']} attempt(s): "
           f"{fixtures['greedy_gap']['permutation']}")
-    golden = golden_traces()
+    golden = golden_traces() + golden_traces_x8()
     write_golden(golden)
     statuses = [run["status"] for entry in golden for run in entry["runs"]]
     print(f"wrote {GOLDEN_OUT}: {len(statuses)} solves on {len(golden)} instances, "
