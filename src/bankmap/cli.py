@@ -44,6 +44,10 @@ EXIT_RELAXED = 2
 EXIT_UNSOLVED = 3
 EXIT_CONFLICTS = 4
 
+# compare runs the baseline once per seed, so a range beyond this many
+# seeds is a typo, not a study
+MAX_SEED_SPAN = 1000
+
 PROBLEM_KEYS = {"permutation", "parallelism", "objective", "conventions"}
 CONVENTION_KEYS = {"natural_fill", "interleaved_fill"}
 
@@ -288,6 +292,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.seed_range:
+        span = args.seed_range[1] - args.seed_range[0] + 1
+        if span > MAX_SEED_SPAN:
+            raise InputFormatError(
+                "--seed-range", f"spans {span} seeds, at most {MAX_SEED_SPAN} allowed"
+            )
     spec, objective = parse_problem(_load_json(args.problem, "problem"))
     schedules = SchedulePair.from_problem(spec)
     outcome = solve(spec, objective, SolveOptions())
@@ -381,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument("problem")
     p_compare.add_argument("--seed", type=int, default=0)
-    p_compare.add_argument("--seed-range", type=_seed_range, default=None,
-                           metavar="LO:HI", help="run the baseline once per seed")
+    p_compare.add_argument("--seed-range", type=_seed_range, default=None, metavar="LO:HI",
+                           help=f"run the baseline once per seed (at most {MAX_SEED_SPAN})")
     p_compare.add_argument("--pretty", action="store_true")
     p_compare.set_defaults(func=cmd_compare)
     return parser

@@ -27,6 +27,10 @@ class Order(enum.Enum):
     NATURAL = "natural"
     INTERLEAVED = "interleaved"
 
+    # Members are singletons, so identity hashing is sound; Enum's own
+    # __hash__ runs Python code on the solver's hottest dict lookups.
+    __hash__ = object.__hash__
+
     @property
     def other(self) -> "Order":
         return Order.INTERLEAVED if self is Order.NATURAL else Order.NATURAL

@@ -19,6 +19,14 @@ operation a failed strict pass is rerun with the filter off - candidate
 ordering still prefers objective-friendly banks - and the outcome
 reports honestly whether the objective was met.
 
+Column selection is incremental. The state caches each column's
+completion count, and assign/retract drop only the counts that read a
+changed mask: the datum's two columns, plus every column of the other
+order that holds a still-unmapped datum of either. The count itself
+depends only on the multiset of the empty cells' free-bank masks, so
+the bitmask DP's result is memoised on their sorted tuple for the whole
+solve, across the strict and relaxed passes.
+
 The search is driven by an explicit frame stack with an exact undo log,
 so its depth is bounded by the number of columns, not by the
 interpreter's recursion limit.
@@ -27,7 +35,7 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvariantViolation
@@ -43,16 +51,25 @@ class MappingState:
     order's column t. assign and retract keep every mask in step with
     bank_of, and assign refuses a bank already used in either of the
     datum's columns, so column distinctness holds by construction.
+
+    Two derived caches sit beside the logical state and take no part in
+    equality. counts[order][t] is the column's completion_count, or None
+    once a change may have moved it. memo maps the sorted free-bank masks
+    of a column's empty cells to their count; it may be shared by every
+    state of one solve.
     """
 
     schedules: SchedulePair
     bank_of: list
     used: dict
+    counts: dict = field(compare=False, repr=False)
+    memo: dict = field(compare=False, repr=False)
 
     @classmethod
-    def fresh(cls, schedules: SchedulePair) -> "MappingState":
+    def fresh(cls, schedules: SchedulePair, memo: Optional[dict] = None) -> "MappingState":
         used = {order: [0] * schedules.cycles for order in Order}
-        return cls(schedules, [None] * schedules.size, used)
+        counts = {order: [None] * schedules.cycles for order in Order}
+        return cls(schedules, [None] * schedules.size, used, counts, {} if memo is None else memo)
 
     @property
     def rows(self) -> int:
@@ -92,14 +109,30 @@ class MappingState:
         self.bank_of[datum] = bank
         for order, t in columns:
             self.used[order][t] |= bit
+        self._drop_counts(columns)
 
     def retract(self, datum: int) -> None:
         bank = self.bank_of[datum]
         if bank is None:
             raise InvariantViolation(f"datum {datum} is not mapped")
         self.bank_of[datum] = None
-        for order in Order:
-            self.used[order][self.schedules.position(order, datum)[1]] &= ~(1 << bank)
+        columns = [(order, self.schedules.position(order, datum)[1]) for order in Order]
+        for order, t in columns:
+            self.used[order][t] &= ~(1 << bank)
+        self._drop_counts(columns)
+
+    def _drop_counts(self, columns: list) -> None:
+        """Forget the cached counts that read the given columns' masks:
+        the columns' own, and those of the other order's columns that
+        hold one of their unmapped data."""
+        for order, t in columns:
+            self.counts[order][t] = None
+            other = order.other
+            partner_counts = self.counts[other]
+            for row in self.schedules.of(order).cells:
+                datum = row[t]
+                if self.bank_of[datum] is None:
+                    partner_counts[self.schedules.position(other, datum)[1]] = None
 
     def empty_cells(self, column: ColumnRef) -> list[tuple[int, int]]:
         """(row, datum) pairs of the column's unmapped cells, by row."""
@@ -116,7 +149,8 @@ class MappingState:
         return tuple(self.bank_of)
 
     def check_invariants(self) -> None:
-        """Masks agree with the bank table and columns are distinct; raises on a bug."""
+        """Masks agree with the bank table, columns are distinct and every
+        cached count equals a fresh completion_count; raises on a bug."""
         for order in Order:
             for t in range(self.cycles):
                 banks = [b for b in self.column(order, t) if b is not None]
@@ -125,6 +159,11 @@ class MappingState:
                 if self.used[order][t] != sum(1 << b for b in banks):
                     raise InvariantViolation(
                         f"{order.value} column {t} mask disagrees with the bank table"
+                    )
+                cached = self.counts[order][t]
+                if cached is not None and cached != completion_count(self, ColumnRef(order, t)):
+                    raise InvariantViolation(
+                        f"{order.value} column {t} has a stale completion count"
                     )
 
 
@@ -145,11 +184,18 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
     """Number of legal whole-column completions under structural rules only.
 
     Counts assignments of pairwise-distinct banks, one per empty cell,
-    each drawn from the cell's free-bank mask (bitmask DP).
+    each drawn from the cell's free-bank mask (bitmask DP). The count does
+    not depend on the cells' order, so it is memoised in state.memo on the
+    sorted tuple of masks.
     """
+    masks = tuple(sorted(
+        state.free_banks(column.order, row, column.index) for row, _ in state.empty_cells(column)
+    ))
+    known = state.memo.get(masks)
+    if known is not None:
+        return known
     layer = {0: 1}
-    for row, _ in state.empty_cells(column):
-        mask = state.free_banks(column.order, row, column.index)
+    for mask in masks:
         nxt: dict = {}
         for used, count in layer.items():
             free = mask & ~used
@@ -159,27 +205,34 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
                 key = used | bit
                 nxt[key] = nxt.get(key, 0) + count
         layer = nxt
-    return sum(layer.values())
+    count = state.memo[masks] = sum(layer.values())
+    return count
 
 
 def select_target_column(state: MappingState) -> Optional[ColumnRef]:
     """The unfinished column with the fewest legal completions.
 
     Ties break on fewer empty cells, then interleaved side before natural,
-    then lowest column index. None once every cell is mapped.
+    then lowest column index. None once every cell is mapped. Only the
+    counts that assign/retract dropped are recomputed.
     """
+    rows = state.rows
     best = None
     best_key = None
     for order in (Order.NATURAL, Order.INTERLEAVED):
         side_rank = 0 if order is Order.INTERLEAVED else 1
+        used = state.used[order]
+        counts = state.counts[order]
         for t in range(state.cycles):
-            column = ColumnRef(order, t)
-            empties = state.empty_cells(column)
+            empties = rows - used[t].bit_count()
             if not empties:
                 continue
-            key = (completion_count(state, column), len(empties), side_rank, t)
+            count = counts[t]
+            if count is None:
+                count = counts[t] = completion_count(state, ColumnRef(order, t))
+            key = (count, empties, side_rank, t)
             if best_key is None or key < best_key:
-                best, best_key = column, key
+                best, best_key = ColumnRef(order, t), key
     return best
 
 
@@ -350,8 +403,9 @@ def _run_pass(
     options: SolveOptions,
     stats: SolveStats,
     trace,
+    memo: dict,
 ) -> Optional[tuple]:
-    state = initialize(MappingState.fresh(schedules))
+    state = initialize(MappingState.fresh(schedules, memo))
     frames: list[_Frame] = []
     while True:
         column = select_target_column(state)
@@ -392,6 +446,7 @@ def solve(
     schedules = SchedulePair.from_problem(problem)
     stats = SolveStats()
     trace: Optional[list] = [] if options.trace else None
+    memo: dict = {}  # completion counts by sorted free-bank masks, shared by both passes
 
     def finish(status: Status, mapping: Optional[tuple]) -> SolveOutcome:
         met = mapping is not None and objective_compatible(mapping, schedules, objective)
@@ -399,11 +454,11 @@ def solve(
         return SolveOutcome(status, mapping, met, stats, frozen)
 
     try:
-        mapping = _run_pass(schedules, objective, True, options, stats, trace)
+        mapping = _run_pass(schedules, objective, True, options, stats, trace, memo)
         if mapping is None and not options.strict_objective:
             if trace is not None:
                 trace.append(TraceEvent("relax", None, None, None, None))
-            mapping = _run_pass(schedules, objective, False, options, stats, trace)
+            mapping = _run_pass(schedules, objective, False, options, stats, trace, memo)
     except _BudgetExceeded:
         return finish(Status.BUDGET_EXHAUSTED, None)
     if mapping is None:

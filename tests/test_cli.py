@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import bankmap.cli as cli
 from bankmap.cli import main
 from conftest import CROSSBAR_ONLY_MAPPING, DEMO_PERMUTATION, KNOWN_MAPPING
 
@@ -242,6 +243,29 @@ def test_compare_seed_range(demo_file, capsys):
     runs = json.loads(out)["summary"]["runs"]
     assert [r["seed"] for r in runs if r["solver"] == "baseline"] == [0, 1, 2, 3]
     assert all(r["valid"] for r in runs)
+
+
+@pytest.mark.parametrize("span", ["0:1000", "5:1000000000000"])
+def test_compare_seed_range_above_bound_is_input_error(demo_file, capsys, span):
+    code, out, err = run(capsys, "compare", demo_file, "--seed-range", span)
+    assert code == 1
+    assert out == ""
+    assert "--seed-range: spans" in err and "at most 1000" in err
+
+
+def test_compare_seed_range_at_bound_is_accepted(demo_file, capsys, monkeypatch):
+    # record the seeds the baseline runs with; each run reuses seed 0's work
+    real = cli.baseline_solve
+    calls = []
+
+    def baseline(spec, seed):
+        calls.append(seed)
+        return real(spec, 0)
+
+    monkeypatch.setattr(cli, "baseline_solve", baseline)
+    code, _, _ = run(capsys, "compare", demo_file, "--seed-range", "1:1000")
+    assert code == 0
+    assert calls == list(range(1, 1001))
 
 
 def test_compare_single_pe_agrees(tmp_path, capsys):

@@ -198,6 +198,14 @@ def test_check_invariants_catches_stale_mask(demo_pair):
         state.check_invariants()
 
 
+def test_check_invariants_catches_stale_count(demo_pair):
+    state = initialize(MappingState.fresh(demo_pair))
+    column = select_target_column(state)  # fills the count cache
+    state.counts[column.order][column.index] += 1
+    with pytest.raises(InvariantViolation):
+        state.check_invariants()
+
+
 def test_retract_restores_previous_state(demo_pair):
     state = fig_state(demo_pair)
     before = copy.deepcopy(state)
@@ -233,6 +241,126 @@ def test_assign_retract_random_walk_is_exact():
         record = assign_column(state, column, rng.choice(options))
         retract_column(state, record)
         assert state == snapshot
+
+
+def scratch_completion_count(state, column):
+    # the count DP over the column's empty cells, read from the bank grids
+    # with no cache and no memo
+    pair = state.schedules
+    grid = state.grid(column.order)
+    other_grid = state.grid(column.order.other)
+    here = {grid[q][column.index] for q in range(pair.rows)}
+    layer = {0: 1}
+    for p in range(pair.rows):
+        if grid[p][column.index] is not None:
+            continue
+        datum = pair.of(column.order).cells[p][column.index]
+        _, other_col = pair.position(column.order.other, datum)
+        taken = here | {other_grid[q][other_col] for q in range(pair.rows)}
+        nxt = {}
+        for used, count in layer.items():
+            for bank in range(pair.rows):
+                if bank not in taken and not used >> bank & 1:
+                    nxt[used | 1 << bank] = nxt.get(used | 1 << bank, 0) + count
+        layer = nxt
+    return sum(layer.values())
+
+
+def scratch_select(state):
+    # select_target_column's key, every entry recomputed from scratch
+    keys = []
+    for order in Order:
+        side_rank = 0 if order is Order.INTERLEAVED else 1
+        for t in range(state.cycles):
+            column = ColumnRef(order, t)
+            empties = state.empty_cells(column)
+            if empties:
+                count = scratch_completion_count(state, column)
+                keys.append(((count, len(empties), side_rank, t), column))
+    return min(keys)[1] if keys else None
+
+
+def x8_spec(rng, fill):
+    entries = list(range(64))
+    rng.shuffle(entries)
+    return ProblemSpec(
+        validate_permutation(entries), 8, LayoutConventions(interleaved_fill=fill)
+    )
+
+
+def unfinished_columns(state):
+    return [
+        ColumnRef(order, t)
+        for order in Order
+        for t in range(state.cycles)
+        if state.empty_cells(ColumnRef(order, t))
+    ]
+
+
+@pytest.mark.parametrize("fill", list(FillRule))
+def test_cached_selection_matches_from_scratch(fill):
+    rng = random.Random(31 + list(FillRule).index(fill))
+    steps = 0
+    for _ in range(6):
+        state = initialize(MappingState.fresh(SchedulePair.from_problem(x8_spec(rng, fill))))
+        records = []
+        for _ in range(40):
+            chosen = select_target_column(state)
+            assert chosen == scratch_select(state)
+            state.check_invariants()
+            open_columns = unfinished_columns(state)
+            if records and (not open_columns or rng.random() < 0.3):
+                retract_column(state, records.pop())
+            elif open_columns:
+                # any unfinished column, not only the selected one, so the
+                # invalidation is exercised from every kind of state
+                column = chosen if rng.random() < 0.5 else rng.choice(open_columns)
+                options = candidate_assignments(state, column, CROSSBAR)
+                first = options.first()
+                if first is None:
+                    if not records:
+                        break
+                    retract_column(state, records.pop())
+                else:
+                    records.append(assign_column(state, column, first))
+            steps += 1
+    assert steps > 200  # the walks did not stall early
+
+
+@pytest.mark.parametrize("fill", list(FillRule))
+def test_selection_recounts_only_invalidated_columns(fill, monkeypatch):
+    import bankmap.solver as solver_module
+
+    rng = random.Random(5 + list(FillRule).index(fill))
+    pair = SchedulePair.from_problem(x8_spec(rng, fill))
+    state = initialize(MappingState.fresh(pair))
+    for _ in range(4):
+        column = select_target_column(state)
+        assign_column(state, column, candidate_assignments(state, column, CROSSBAR).first())
+    column = select_target_column(state)  # every unfinished count is cached now
+    record = assign_column(state, column, candidate_assignments(state, column, CROSSBAR).first())
+
+    # the rule: each assigned datum's two columns, plus every column of the
+    # other order that holds a still-unmapped datum of one of those columns
+    changed = {ColumnRef(order, pair.position(order, d)[1]) for d in record for order in Order}
+    named = set(changed)
+    for order, t in changed:
+        for d in pair.of(order).column(t):
+            if state.bank_of[d] is None:
+                named.add(ColumnRef(order.other, pair.position(order.other, d)[1]))
+    expected = named & set(unfinished_columns(state))
+    assert len(expected) < len(unfinished_columns(state))
+
+    calls = []
+    real = solver_module.completion_count
+    monkeypatch.setattr(
+        solver_module, "completion_count", lambda s, c: calls.append(c) or real(s, c)
+    )
+    select_target_column(state)
+    assert len(calls) == len(set(calls)) and set(calls) == expected
+    calls.clear()
+    select_target_column(state)
+    assert calls == []
 
 
 def test_solve_demo_reproduces_known_mapping(demo_problem):
