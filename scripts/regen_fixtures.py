@@ -10,7 +10,11 @@ baseline pass leaves at least one cell empty.
 Separately it records golden traces: the digest of every backtracking
 solve (status, mapping, stats and full trace) on a seeded set of small
 instances plus a few X=8 ones, so a change to the solver's internals can
-be checked to search exactly as before.
+be checked to search exactly as before. And it records golden reports:
+digests of baseline mappings and of the full `bankmap solve` report
+(bank contents, controls, matrices, verification) for backtracking and
+baseline solves up to X=16 and L=1536, so a change below the solver can
+be checked to emit exactly the same output.
 
 Run from the repository root:  python3 scripts/regen_fixtures.py
 """
@@ -39,10 +43,11 @@ from bankmap import (
 
 TESTS = pathlib.Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS))
-from helpers import outcome_digest  # noqa: E402
+from helpers import canonical_digest, outcome_digest, solver_report  # noqa: E402
 
 OUT = TESTS / "fixtures" / "pinned.json"
 GOLDEN_OUT = TESTS / "fixtures" / "golden_traces.json"
+REPORTS_OUT = TESTS / "fixtures" / "golden_reports.json"
 
 DEMO_PERMUTATION = [1, 9, 10, 5, 0, 11, 2, 7, 3, 6, 8, 4]
 
@@ -187,10 +192,88 @@ def golden_traces_x8() -> list:
     return instances
 
 
-def write_golden(instances: list) -> None:
-    # one instance per line keeps the file diffable
-    lines = ",\n".join("  " + json.dumps(entry) for entry in instances)
-    GOLDEN_OUT.write_text("[\n" + lines + "\n]\n")
+def row_column(length: int, rows: int) -> list:
+    """Row-column block interleaver: write by rows, read by columns."""
+    cols = length // rows
+    return [(i % rows) * cols + i // rows for i in range(length)]
+
+
+def report_entry(
+    entries: list, parallelism: int, fill: FillRule, objective: NetworkObjective,
+    solver: str, seed=None, max_nodes=None,
+) -> dict:
+    """One solve with the digests of its mapping and of its full report."""
+    spec = ProblemSpec(
+        validate_permutation(entries), parallelism, LayoutConventions(interleaved_fill=fill)
+    )
+    mapping, report = solver_report(spec, objective, solver, seed, max_nodes)
+    return {
+        "permutation": entries,
+        "parallelism": parallelism,
+        "interleaved_fill": fill.value,
+        "objective": objective.value,
+        "solver": solver,
+        "seed": seed,
+        "max_nodes": max_nodes,
+        "status": report["status"],
+        "objective_met": report["objective_met"],
+        "mapping_digest": canonical_digest(mapping),
+        "report_digest": canonical_digest(report),
+    }
+
+
+def golden_reports() -> list:
+    """Backtracking and baseline reports over both objectives and fills.
+
+    Backtracking: seeded shuffles at X in {2, 3, 4} (L <= 24), X=8
+    (L=64 and L=192) and X=16 (L=32, plus L=48 crossbar), and identity and
+    row-column interleavers whose barrel objective is met at X=8 and X=16;
+    the X=8 barrel shuffles run under a 300-node budget. Baseline: seeded
+    shuffles at X up to 16 with two repair seeds each, and L=768 X=8 and
+    L=1536 X=16, where the greedy pass leaves many gaps to repair.
+    """
+    rng = random.Random(1)
+    fills = (FillRule.COLUMN_MAJOR_SEQUENCE, FillRule.ROW_MAJOR_BLOCKS)
+    crossbar, barrel = NetworkObjective.CROSSBAR, NetworkObjective.BARREL_SHIFTER
+    out = []
+    for i in range(24):
+        parallelism = rng.choice([2, 3, 4])
+        length = parallelism * rng.randrange(1, 24 // parallelism + 1)
+        entries = shuffled(length, rng.randrange(1 << 30))
+        for objective in NetworkObjective:
+            out.append(report_entry(entries, parallelism, fills[i % 2], objective,
+                                    "backtracking"))
+    for fill in fills:
+        for seed in range(2):
+            out.append(report_entry(shuffled(64, seed), 8, fill, crossbar, "backtracking"))
+            out.append(report_entry(shuffled(64, seed), 8, fill, barrel, "backtracking",
+                                    max_nodes=300))
+        out.append(report_entry(shuffled(192, 0), 8, fill, crossbar, "backtracking"))
+        for objective in NetworkObjective:
+            out.append(report_entry(shuffled(32, 0), 16, fill, objective, "backtracking"))
+        out.append(report_entry(shuffled(48, 0), 16, fill, crossbar, "backtracking"))
+        out.append(report_entry(list(range(128)), 8, fill, barrel, "backtracking"))
+        out.append(report_entry(row_column(128, 8), 8, fill, barrel, "backtracking"))
+    out.append(report_entry(list(range(64)), 16, FillRule.ROW_MAJOR_BLOCKS, barrel,
+                            "backtracking"))
+    for i in range(40):
+        parallelism = [2, 3, 4, 8, 16][i % 5]
+        length = parallelism * rng.randrange(1, 17)
+        entries = shuffled(length, rng.randrange(1 << 30))
+        for seed in range(2):
+            out.append(report_entry(entries, parallelism, fills[i // 5 % 2],
+                                    list(NetworkObjective)[i % 2], "baseline", seed=seed))
+    for length, parallelism in ((768, 8), (1536, 16)):
+        for fill in fills:
+            out.append(report_entry(shuffled(length, 0), parallelism, fill, crossbar,
+                                    "baseline", seed=0))
+    return out
+
+
+def write_lines(path: pathlib.Path, entries: list) -> None:
+    # one entry per line keeps the file diffable
+    lines = ",\n".join("  " + json.dumps(entry) for entry in entries)
+    path.write_text("[\n" + lines + "\n]\n")
 
 
 def main() -> None:
@@ -209,10 +292,15 @@ def main() -> None:
     print(f"  greedy gap after {fixtures['greedy_gap']['attempts']} attempt(s): "
           f"{fixtures['greedy_gap']['permutation']}")
     golden = golden_traces() + golden_traces_x8()
-    write_golden(golden)
+    write_lines(GOLDEN_OUT, golden)
     statuses = [run["status"] for entry in golden for run in entry["runs"]]
     print(f"wrote {GOLDEN_OUT}: {len(statuses)} solves on {len(golden)} instances, "
           + ", ".join(f"{s} {statuses.count(s)}" for s in sorted(set(statuses))))
+    reports = golden_reports()
+    write_lines(REPORTS_OUT, reports)
+    kinds = [(e["solver"], e["status"], e["objective_met"]) for e in reports]
+    print(f"wrote {REPORTS_OUT}: {len(reports)} reports, "
+          + ", ".join(f"{k[0]} {k[1]} met={k[2]} {kinds.count(k)}" for k in sorted(set(kinds))))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,16 @@ import json
 
 from hypothesis import strategies as st
 
-from bankmap import ProblemSpec, validate_permutation
+from bankmap import (
+    ProblemSpec,
+    SchedulePair,
+    SolveOptions,
+    Status,
+    baseline_solve,
+    solve,
+    validate_permutation,
+)
+from bankmap.cli import build_report
 
 
 def size_parallelism_pairs(max_size, parallelisms):
@@ -62,5 +71,31 @@ def outcome_digest(outcome):
             for e in outcome.trace or ()
         ],
     }
+    return canonical_digest(doc)
+
+
+def canonical_digest(doc):
+    """sha256 of a JSON-encodable value in canonical form."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def solver_report(spec, objective, solver, seed=None, max_nodes=None):
+    """(mapping, report) of one CLI-equivalent solve.
+
+    solver is "backtracking" (run under max_nodes) or "baseline" (run
+    with seed); the report is the one `bankmap solve` prints.
+    """
+    schedules = SchedulePair.from_problem(spec)
+    if solver == "baseline":
+        mapping = baseline_solve(spec, seed)
+        report = build_report(
+            spec, objective, solver, Status.SOLVED, mapping, schedules, seed=seed
+        )
+        return mapping, report
+    outcome = solve(spec, objective, SolveOptions(max_nodes=max_nodes))
+    report = build_report(
+        spec, objective, solver, outcome.status, outcome.mapping, schedules,
+        dataclasses.asdict(outcome.stats),
+    )
+    return outcome.mapping, report

@@ -3,8 +3,10 @@ import json
 import pytest
 
 import bankmap.cli as cli
+from bankmap import FillRule, LayoutConventions, NetworkObjective, ProblemSpec, validate_permutation
 from bankmap.cli import main
-from conftest import CROSSBAR_ONLY_MAPPING, DEMO_PERMUTATION, KNOWN_MAPPING
+from conftest import CROSSBAR_ONLY_MAPPING, DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
+from helpers import canonical_digest, solver_report
 
 
 def write_json(path, doc):
@@ -273,3 +275,22 @@ def test_compare_single_pe_agrees(tmp_path, capsys):
     code, out, _ = run(capsys, "compare", problem)
     assert code == 0
     assert all(r["objective_met"] for r in json.loads(out)["summary"]["runs"])
+
+
+def test_golden_reports_reproduce():
+    # digests of the mapping and of the whole solve report (bank contents,
+    # controls, matrices, verification), recorded by scripts/regen_fixtures.py
+    golden = json.loads((FIXTURE_DIR / "golden_reports.json").read_text())
+    for entry in golden:
+        conventions = LayoutConventions(interleaved_fill=FillRule(entry["interleaved_fill"]))
+        spec = ProblemSpec(
+            validate_permutation(entry["permutation"]), entry["parallelism"], conventions
+        )
+        mapping, report = solver_report(
+            spec, NetworkObjective(entry["objective"]), entry["solver"],
+            entry["seed"], entry["max_nodes"],
+        )
+        where = (entry["solver"], len(entry["permutation"]), entry["parallelism"])
+        assert report["status"] == entry["status"], where
+        assert canonical_digest(mapping) == entry["mapping_digest"], where
+        assert canonical_digest(report) == entry["report_digest"], where
