@@ -20,6 +20,7 @@ from .errors import (
     InstanceTooLarge,
     InvariantViolation,
     NonDivisorParallelism,
+    NotAnInteger,
     ObjectiveIncompatible,
     OutOfRange,
     RepairBudgetExhausted,

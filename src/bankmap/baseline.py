@@ -35,35 +35,21 @@ class TileMatrix:
     def rows(self) -> int:
         return len(self.tiles)
 
-    @property
-    def cycles(self) -> int:
-        return len(self.tiles[0])
-
 
 def build_tiles(schedules: SchedulePair) -> TileMatrix:
-    natural = schedules.natural
-    tiles = tuple(
-        tuple(
-            schedules.position(Order.INTERLEAVED, natural.cells[p][t])[1]
-            for t in range(natural.cycles)
-        )
-        for p in range(natural.rows)
-    )
+    tile_of = schedules.column_of[Order.INTERLEAVED]
+    tiles = tuple(tuple(tile_of[d] for d in row) for row in schedules.natural.cells)
     return TileMatrix(schedules, tiles)
 
 
 def _mates(tiles: TileMatrix) -> list[set]:
-    """Per datum: the data it must not share a bank with (column or tile)."""
-    natural = tiles.schedules.natural
-    mates = [set() for _ in range(tiles.schedules.size)]
-    by_column: dict = {}
-    by_tile: dict = {}
-    for p in range(tiles.rows):
-        for t in range(tiles.cycles):
-            datum = natural.cells[p][t]
-            by_column.setdefault(t, []).append(datum)
-            by_tile.setdefault(tiles.tiles[p][t], []).append(datum)
-    for group in list(by_column.values()) + list(by_tile.values()):
+    """Per datum: the data it must not share a bank with (column or tile).
+
+    The tiles are the interleaved columns.
+    """
+    schedules = tiles.schedules
+    mates = [set() for _ in range(schedules.size)]
+    for group in schedules.natural.columns + schedules.interleaved.columns:
         for d in group:
             mates[d].update(e for e in group if e != d)
     return mates
@@ -87,12 +73,10 @@ def greedy_fill(tiles: TileMatrix) -> list[Optional[int]]:
     bank, then the lowest bank clashing with neither the natural column
     so far nor its tile-mates so far.
     """
-    natural = tiles.schedules.natural
     mates = _mates(tiles)
     banks: list[Optional[int]] = [None] * tiles.schedules.size
-    for t in range(tiles.cycles):
-        for p in range(tiles.rows):
-            datum = natural.cells[p][t]
+    for column in tiles.schedules.natural.columns:
+        for p, datum in enumerate(column):
             blocked = {banks[e] for e in mates[datum] if banks[e] is not None}
             for bank in [p] + [b for b in range(tiles.rows) if b != p]:
                 if bank not in blocked:
@@ -116,16 +100,10 @@ def repair_complete(
     banks = list(partial)
     if all(b is not None for b in banks):
         return tuple(banks)
-    natural = tiles.schedules.natural
     mates = _mates(tiles)
     rng = random.Random(seed)
     budget = REPAIR_BUDGET_PER_DATUM * tiles.schedules.size
-    pending = [
-        natural.cells[p][t]
-        for t in range(tiles.cycles)
-        for p in range(tiles.rows)
-        if banks[natural.cells[p][t]] is None
-    ]
+    pending = [d for column in tiles.schedules.natural.columns for d in column if banks[d] is None]
     stack = list(reversed(pending))  # pop() follows the scan order
     steps = 0
     while stack:

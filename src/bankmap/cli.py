@@ -33,6 +33,7 @@ from .schedule import (
     Order,
     ProblemSpec,
     SchedulePair,
+    is_int,
     validate_permutation,
 )
 from .solver import SolveOptions, Status, solve
@@ -74,11 +75,6 @@ def _fill_rule(value, field: str) -> FillRule:
         ) from None
 
 
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, which is an int subclass in Python
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_problem(doc: dict) -> tuple[ProblemSpec, NetworkObjective]:
     unknown = set(doc) - PROBLEM_KEYS
     if unknown:
@@ -86,10 +82,10 @@ def parse_problem(doc: dict) -> tuple[ProblemSpec, NetworkObjective]:
     if "permutation" not in doc:
         raise InputFormatError("permutation", "missing")
     if not isinstance(doc["permutation"], list) or not all(
-        _is_int(v) for v in doc["permutation"]
+        is_int(v) for v in doc["permutation"]
     ):
         raise InputFormatError("permutation", "must be a list of integers")
-    if not _is_int(doc.get("parallelism")):
+    if not is_int(doc.get("parallelism")):
         raise InputFormatError("parallelism", "must be an integer")
     conventions = LayoutConventions()
     if "conventions" in doc:
@@ -135,7 +131,7 @@ def parse_mapping(doc: dict, schedules: SchedulePair) -> tuple:
     bank_of: list = [None] * schedules.size
     for b, group in enumerate(banks):
         for datum in group:
-            if not _is_int(datum) or not 0 <= datum < schedules.size:
+            if not is_int(datum) or not 0 <= datum < schedules.size:
                 raise InputFormatError("banks", f"data id {datum!r} out of range")
             if bank_of[datum] is not None:
                 raise InputFormatError("banks", f"data id {datum} listed twice")

@@ -12,6 +12,12 @@ class EmptyInput(BankMapError):
         super().__init__("permutation needs at least one entry")
 
 
+class NotAnInteger(BankMapError):
+    def __init__(self, what: str, value) -> None:
+        self.value = value
+        super().__init__(f"{what} {value!r} is not an integer")
+
+
 class OutOfRange(BankMapError):
     def __init__(self, value: int, length: int) -> None:
         self.value = value

@@ -10,8 +10,8 @@ built from, and therefore which per-cycle bank patterns are realizable:
     matrix's column 0 (the reference pattern, fixed per order).
 
 Adding a network kind means adding an enum member plus a case in
-pattern_realizable (the column predicate) and partition_admissible (the
-candidate-ordering hook used by the solver).
+objective_compatible (the whole-mapping check), partition_admissible (the
+candidate-ordering hook used by the solver) and derive_controls.
 """
 
 from __future__ import annotations
@@ -44,15 +44,7 @@ def rotation_offset(reference: Sequence[int], column: Sequence[int]) -> Optional
 
 def column_pattern(bank_of: Sequence[int], schedule: AccessSchedule, t: int) -> tuple[int, ...]:
     """Bank pattern of cycle t: the mapped bank of each PE row's datum."""
-    return tuple(bank_of[schedule.cells[p][t]] for p in range(schedule.rows))
-
-
-def pattern_realizable(
-    objective: NetworkObjective, reference: Sequence[int], pattern: Sequence[int]
-) -> bool:
-    if objective is NetworkObjective.CROSSBAR:
-        return True
-    return rotation_offset(reference, pattern) is not None
+    return tuple(bank_of[d] for d in schedule.columns[t])
 
 
 def objective_compatible(
@@ -65,32 +57,9 @@ def objective_compatible(
         sched = schedules.of(order)
         reference = column_pattern(bank_of, sched, 0)
         for t in range(1, sched.cycles):
-            if not pattern_realizable(objective, reference, column_pattern(bank_of, sched, t)):
+            if rotation_offset(reference, column_pattern(bank_of, sched, t)) is None:
                 return False
     return True
-
-
-def _rotation_consistent(
-    reference, reference_used: int, column_cells, row: int, bank: int
-) -> bool:
-    # Is there a rotation of the (possibly partial) reference pattern that
-    # agrees with the column's filled cells plus `bank` at `row`? Unfilled
-    # reference slots may take any bank not already used in the reference
-    # (reference_used is its used-bank bitmask).
-    size = len(reference)
-    cells = [(j, v) for j, v in enumerate(column_cells) if v is not None]
-    cells.append((row, bank))
-    for r in range(size):
-        for j, v in cells:
-            have = reference[(j - r) % size]
-            if have is None:
-                if reference_used >> v & 1:
-                    break
-            elif have != v:
-                break
-        else:
-            return True
-    return False
 
 
 def partition_admissible(
@@ -98,21 +67,30 @@ def partition_admissible(
 ) -> tuple[list[int], list[int]]:
     """Split a cell's structurally legal banks into (objective-friendly, rest).
 
-    Both halves are in ascending bank id. `state` is a solver MappingState;
-    only its free_banks, column and used_banks accessors are consulted.
+    A bank is objective-friendly when some rotation of the (possibly
+    partial) reference pattern agrees with the column's filled cells and
+    puts that bank at `row`; an unfilled reference slot may take any bank
+    the reference does not use yet. Both halves are in ascending bank id.
+    `state` is a solver MappingState; only its free_banks, column and
+    used_banks accessors are consulted.
     """
     free = state.free_banks(column.order, row, column.index)
     structural = [b for b in range(state.rows) if free >> b & 1]
     if objective is NetworkObjective.CROSSBAR:
         return structural, []
     reference = state.column(column.order, 0)
-    reference_used = state.used_banks(column.order, 0)
-    column_cells = state.column(column.order, column.index)
-    preferred = [
-        b for b in structural
-        if _rotation_consistent(reference, reference_used, column_cells, row, b)
-    ]
-    rest = [b for b in structural if b not in preferred]
+    size = len(reference)
+    unused = ~state.used_banks(column.order, 0)
+    filled = [(j, v) for j, v in enumerate(state.column(column.order, column.index))
+              if v is not None]
+    friendly = 0
+    for r in range(size):
+        rotated = reference[size - r:] + reference[:size - r]  # [j] = reference[(j - r) % X]
+        if all(rotated[j] == v or rotated[j] is None and unused >> v & 1 for j, v in filled):
+            have = rotated[row]
+            friendly |= unused if have is None else 1 << have
+    preferred = [b for b in structural if friendly >> b & 1]
+    rest = [b for b in structural if not friendly >> b & 1]
     return preferred, rest
 
 
@@ -179,15 +157,15 @@ def derive_controls(
     Raises ObjectiveIncompatible when the mapping cannot realize the
     requested network kind.
     """
-    if not objective_compatible(bank_of, schedules, objective):
-        raise ObjectiveIncompatible(f"mapping is not {objective.value}-realizable")
     per_order = {}
     for order in Order:
         sched = schedules.of(order)
-        patterns = [column_pattern(bank_of, sched, t) for t in range(sched.cycles)]
+        patterns = tuple(column_pattern(bank_of, sched, t) for t in range(sched.cycles))
         if objective is NetworkObjective.CROSSBAR:
-            per_order[order] = tuple(patterns)
-        else:
-            reference = patterns[0]
-            per_order[order] = tuple(rotation_offset(reference, pat) for pat in patterns)
+            per_order[order] = patterns
+            continue
+        offsets = tuple(rotation_offset(patterns[0], pat) for pat in patterns)
+        if None in offsets:
+            raise ObjectiveIncompatible(f"mapping is not {objective.value}-realizable")
+        per_order[order] = offsets
     return ControlSchedule(objective, per_order[Order.NATURAL], per_order[Order.INTERLEAVED])

@@ -26,10 +26,7 @@ def render_bank_grid(grid: Sequence[Sequence[Optional[int]]]) -> str:
 
 def mapping_grids(bank_of: Sequence[int], schedules) -> dict:
     """Bank-letter grids of a mapping over both schedules, keyed by order."""
-    out = {}
-    for sched in (schedules.natural, schedules.interleaved):
-        out[sched.order] = [
-            [bank_of[sched.cells[p][t]] for t in range(sched.cycles)]
-            for p in range(sched.rows)
-        ]
-    return out
+    return {
+        sched.order: [[bank_of[d] for d in row] for row in sched.cells]
+        for sched in (schedules.natural, schedules.interleaved)
+    }

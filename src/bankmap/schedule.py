@@ -3,10 +3,12 @@
 A problem couples a permutation of L data indices with a parallelism
 degree X (one memory bank per processing element). The block is consumed
 over N = L / X cycles, once in natural order and once in permuted order.
-Each order is materialized as an X-row by N-column matrix: column t holds
-the data accessed concurrently at cycle t, and row p is the access stream
-of processing element p. Every collision question in this package reduces
-to properties of the columns of these two matrices.
+Each order is an X-row by N-column matrix: column t holds the data
+accessed concurrently at cycle t, and row p is the access stream of
+processing element p. Every collision question in this package reduces
+to properties of the columns of these two matrices, so a schedule stores
+its columns (each listing its data by PE row) and every datum's column
+index; the row-by-row view is derived for display only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .errors import DuplicateEntry, EmptyInput, NonDivisorParallelism, OutOfRange
+from .errors import DuplicateEntry, EmptyInput, NonDivisorParallelism, NotAnInteger, OutOfRange
 
 # A complete bank assignment: bank id per data index, length L.
 BankMapping = tuple[int, ...]
@@ -68,17 +70,25 @@ class Permutation:
         return len(self.entries)
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool (bool is an int subclass in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_permutation(entries: Sequence[int]) -> Permutation:
     """Check that entries form a bijection on {0, ..., L-1} and wrap them.
 
-    Raises EmptyInput, OutOfRange or DuplicateEntry otherwise.
+    Raises EmptyInput, NotAnInteger, OutOfRange or DuplicateEntry
+    otherwise; nothing is coerced.
     """
-    values = tuple(int(v) for v in entries)
+    values = tuple(entries)
     if not values:
         raise EmptyInput()
     length = len(values)
     seen = set()
     for v in values:
+        if not is_int(v):
+            raise NotAnInteger("permutation entry", v)
         if not 0 <= v < length:
             raise OutOfRange(v, length)
         if v in seen:
@@ -101,6 +111,8 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         length = self.permutation.size
+        if not is_int(self.parallelism):
+            raise NotAnInteger("parallelism", self.parallelism)
         if self.parallelism < 1 or length % self.parallelism != 0:
             raise NonDivisorParallelism(self.parallelism, length)
 
@@ -115,28 +127,34 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class AccessSchedule:
-    """One X-by-N matrix of data indices for one access order."""
+    """One X-by-N matrix of data indices for one access order, by column:
+    columns[t][p] is the datum PE row p accesses at cycle t."""
 
     order: Order
-    cells: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def rows(self) -> int:
-        return len(self.cells)
+        return len(self.columns[0])
 
     @property
     def cycles(self) -> int:
-        return len(self.cells[0])
+        return len(self.columns)
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """Row view, cells[p][t]; built on every read, so for display only."""
+        return tuple(zip(*self.columns))
 
     def column(self, t: int) -> tuple[int, ...]:
         """The set of data accessed concurrently at cycle t, by PE row."""
-        return tuple(self.cells[p][t] for p in range(self.rows))
+        return self.columns[t]
 
 
 def _layout(seq: Sequence[int], rows: int, cycles: int, rule: FillRule) -> tuple:
     if rule is FillRule.ROW_MAJOR_BLOCKS:
-        return tuple(tuple(seq[p * cycles + t] for t in range(cycles)) for p in range(rows))
-    return tuple(tuple(seq[t * rows + p] for t in range(cycles)) for p in range(rows))
+        return tuple(tuple(seq[p * cycles + t] for p in range(rows)) for t in range(cycles))
+    return tuple(tuple(seq[t * rows:(t + 1) * rows]) for t in range(cycles))
 
 
 def build_schedules(spec: ProblemSpec) -> tuple[AccessSchedule, AccessSchedule]:
@@ -166,21 +184,22 @@ class ColumnRef(NamedTuple):
 
 @dataclass(frozen=True)
 class SchedulePair:
-    """Both schedules of one problem plus per-datum position tables."""
+    """Both schedules of one problem plus, per order, the column index of
+    every datum: column_of[order][datum]."""
 
     natural: AccessSchedule
     interleaved: AccessSchedule
-    _positions: dict = field(init=False, repr=False, compare=False)
+    column_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tables = {}
         for sched in (self.natural, self.interleaved):
-            pos = [None] * (sched.rows * sched.cycles)
-            for p, row in enumerate(sched.cells):
-                for t, datum in enumerate(row):
-                    pos[datum] = (p, t)
-            tables[sched.order] = tuple(pos)
-        object.__setattr__(self, "_positions", tables)
+            table = [0] * (sched.rows * sched.cycles)
+            for t, column in enumerate(sched.columns):
+                for datum in column:
+                    table[datum] = t
+            tables[sched.order] = tuple(table)
+        object.__setattr__(self, "column_of", tables)
 
     @classmethod
     def from_problem(cls, spec: ProblemSpec) -> "SchedulePair":
@@ -191,7 +210,8 @@ class SchedulePair:
 
     def position(self, order: Order, datum: int) -> tuple[int, int]:
         """(row, column) of a datum in the given order's matrix."""
-        return self._positions[order][datum]
+        t = self.column_of[order][datum]
+        return self.of(order).columns[t].index(datum), t
 
     @property
     def rows(self) -> int:

@@ -19,13 +19,16 @@ operation a failed strict pass is rerun with the filter off - candidate
 ordering still prefers objective-friendly banks - and the outcome
 reports honestly whether the objective was met.
 
+Every layer reads the schedules by column: a column's data come from
+`columns[t]` and a datum's column of the other order from `column_of`.
 Column selection is incremental. The state caches each column's
 completion count, and assign/retract drop only the counts that read a
 changed mask: the datum's two columns, plus every column of the other
 order that holds a still-unmapped datum of either. The count itself
-depends only on the multiset of the empty cells' free-bank masks, so
-the bitmask DP's result is memoised on their sorted tuple for the whole
-solve, across the strict and relaxed passes.
+depends only on the multiset of the empty cells' free-bank masks (each
+the column's free banks minus those used in the datum's other column,
+built in one pass), so the bitmask DP's result is memoised on their
+sorted tuple for the whole solve, across the strict and relaxed passes.
 
 The search is driven by an explicit frame stack with an exact undo log,
 so its depth is bounded by the number of columns, not by the
@@ -49,8 +52,9 @@ class MappingState:
 
     used[order][t] has bit b set when bank b is mapped to a datum of that
     order's column t. assign and retract keep every mask in step with
-    bank_of, and assign refuses a bank already used in either of the
-    datum's columns, so column distinctness holds by construction.
+    bank_of, and assign refuses a bank outside [0, X) or already used in
+    either of the datum's columns, so column distinctness holds by
+    construction.
 
     Two derived caches sit beside the logical state and take no part in
     equality. counts[order][t] is the column's completion_count, or None
@@ -85,7 +89,7 @@ class MappingState:
 
     def column(self, order: Order, index: int) -> list:
         """Mapped bank of each row's datum in one column, None where unmapped."""
-        return [self.bank_of[row[index]] for row in self.schedules.of(order).cells]
+        return [self.bank_of[d] for d in self.schedules.of(order).columns[index]]
 
     def used_banks(self, order: Order, index: int) -> int:
         return self.used[order][index]
@@ -93,16 +97,21 @@ class MappingState:
     def free_banks(self, order: Order, row: int, index: int) -> int:
         """Bitmask of the banks legal for one cell: unused in this column
         and in the datum's column of the other order."""
-        datum = self.schedules.of(order).cells[row][index]
-        _, other_index = self.schedules.position(order.other, datum)
+        datum = self.schedules.of(order).columns[index][row]
+        other_index = self.schedules.column_of[order.other][datum]
         taken = self.used[order][index] | self.used[order.other][other_index]
         return ((1 << self.rows) - 1) & ~taken
+
+    def _columns_of(self, datum: int) -> list:
+        return [(order, self.schedules.column_of[order][datum]) for order in Order]
 
     def assign(self, datum: int, bank: int) -> None:
         if self.bank_of[datum] is not None:
             raise InvariantViolation(f"datum {datum} is already mapped")
+        if not 0 <= bank < self.rows:
+            raise InvariantViolation(f"bank {bank} is outside [0, {self.rows})")
         bit = 1 << bank
-        columns = [(order, self.schedules.position(order, datum)[1]) for order in Order]
+        columns = self._columns_of(datum)
         for order, t in columns:
             if self.used[order][t] & bit:
                 raise InvariantViolation(f"bank {bank} already used in {order.value} column {t}")
@@ -116,7 +125,7 @@ class MappingState:
         if bank is None:
             raise InvariantViolation(f"datum {datum} is not mapped")
         self.bank_of[datum] = None
-        columns = [(order, self.schedules.position(order, datum)[1]) for order in Order]
+        columns = self._columns_of(datum)
         for order, t in columns:
             self.used[order][t] &= ~(1 << bank)
         self._drop_counts(columns)
@@ -127,18 +136,16 @@ class MappingState:
         hold one of their unmapped data."""
         for order, t in columns:
             self.counts[order][t] = None
-            other = order.other
-            partner_counts = self.counts[other]
-            for row in self.schedules.of(order).cells:
-                datum = row[t]
+            partner_counts = self.counts[order.other]
+            partner_column = self.schedules.column_of[order.other]
+            for datum in self.schedules.of(order).columns[t]:
                 if self.bank_of[datum] is None:
-                    partner_counts[self.schedules.position(other, datum)[1]] = None
+                    partner_counts[partner_column[datum]] = None
 
     def empty_cells(self, column: ColumnRef) -> list[tuple[int, int]]:
         """(row, datum) pairs of the column's unmapped cells, by row."""
-        t = column.index
-        cells = self.schedules.of(column.order).cells
-        return [(p, row[t]) for p, row in enumerate(cells) if self.bank_of[row[t]] is None]
+        data = self.schedules.of(column.order).columns[column.index]
+        return [(p, d) for p, d in enumerate(data) if self.bank_of[d] is None]
 
     def is_complete(self) -> bool:
         return all(b is not None for b in self.bank_of)
@@ -149,11 +156,14 @@ class MappingState:
         return tuple(self.bank_of)
 
     def check_invariants(self) -> None:
-        """Masks agree with the bank table, columns are distinct and every
-        cached count equals a fresh completion_count; raises on a bug."""
+        """Banks are in [0, X), masks agree with the bank table, columns are
+        distinct and every cached count equals a fresh completion_count;
+        raises on a bug."""
         for order in Order:
             for t in range(self.cycles):
                 banks = [b for b in self.column(order, t) if b is not None]
+                if not all(0 <= b < self.rows for b in banks):
+                    raise InvariantViolation(f"{order.value} column {t} holds a bank out of range")
                 if len(set(banks)) != len(banks):
                     raise InvariantViolation(f"a bank is used twice in {order.value} column {t}")
                 if self.used[order][t] != sum(1 << b for b in banks):
@@ -174,9 +184,8 @@ def initialize(state: MappingState) -> MappingState:
     """
     if any(b is not None for b in state.bank_of):
         raise InvariantViolation("initialize expects an empty state")
-    natural = state.schedules.natural
-    for p in range(state.rows):
-        state.assign(natural.cells[p][0], p)
+    for p, datum in enumerate(state.schedules.natural.columns[0]):
+        state.assign(datum, p)
     return state
 
 
@@ -188,8 +197,14 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
     not depend on the cells' order, so it is memoised in state.memo on the
     sorted tuple of masks.
     """
+    order, t = column
+    bank_of = state.bank_of
+    free = ((1 << state.rows) - 1) & ~state.used[order][t]
+    partner_used = state.used[order.other]
+    partner_column = state.schedules.column_of[order.other]
     masks = tuple(sorted(
-        state.free_banks(column.order, row, column.index) for row, _ in state.empty_cells(column)
+        free & ~partner_used[partner_column[d]]
+        for d in state.schedules.of(order).columns[t] if bank_of[d] is None
     ))
     known = state.memo.get(masks)
     if known is not None:

@@ -83,20 +83,16 @@ def verify_mapping(
     _require_total(bank_of, schedules.size)
     conflicts = []
     for order in Order:
-        sched = schedules.of(order)
-        for t in range(sched.cycles):
+        for t, column in enumerate(schedules.of(order).columns):
             per_bank: dict = {}
-            for p in range(sched.rows):
-                datum = sched.cells[p][t]
+            for datum in column:
                 per_bank.setdefault(bank_of[datum], []).append(datum)
             for bank, data in sorted(per_bank.items()):
                 for pair in itertools.combinations(data, 2):
                     conflicts.append(Conflict(order, t, bank, pair))
     contents = [[] for _ in range(schedules.rows)]
-    natural = schedules.natural
-    for t in range(natural.cycles):
-        for p in range(natural.rows):
-            datum = natural.cells[p][t]
+    for column in schedules.natural.columns:
+        for datum in column:
             contents[bank_of[datum]].append(datum)
     met = {obj: objective_compatible(bank_of, schedules, obj) for obj in objectives}
     return VerificationReport(
@@ -116,8 +112,7 @@ def satisfies_partition_definition(bank_of: Sequence[int], schedules: SchedulePa
     """
     _require_total(bank_of, schedules.size)
     for order in Order:
-        sched = schedules.of(order)
-        partition = [frozenset(sched.column(t)) for t in range(sched.cycles)]
+        partition = [frozenset(column) for column in schedules.of(order).columns]
         for subset in partition:
             if len({bank_of[d] for d in subset}) != len(subset):
                 return False
@@ -150,10 +145,8 @@ def simulate(
         sched = schedules.of(order)
         cycles = []
         reference = column_pattern(bank_of, sched, 0)
-        for t in range(sched.cycles):
-            triples = tuple(
-                (p, sched.cells[p][t], bank_of[sched.cells[p][t]]) for p in range(sched.rows)
-            )
+        for t, column in enumerate(sched.columns):
+            triples = tuple((p, datum, bank_of[datum]) for p, datum in enumerate(column))
             if controls is not None:
                 routed = apply_control_word(controls.kind, reference, controls.words(order)[t])
                 for p, _, bank in triples:
@@ -181,7 +174,7 @@ def brute_force_solve(
     if size > ORACLE_MAX_SIZE or rows > ORACLE_MAX_PARALLELISM:
         raise InstanceTooLarge(size, rows)
     natural = schedules.natural
-    interleaved_column = [schedules.position(Order.INTERLEAVED, d)[1] for d in range(size)]
+    interleaved_column = schedules.column_of[Order.INTERLEAVED]
     perms = list(itertools.permutations(range(rows)))
     identity = tuple(range(rows))
     bank_of: list = [None] * size
@@ -198,8 +191,7 @@ def brute_force_solve(
         for perm in options:
             placed = []
             ok = True
-            for p in range(rows):
-                datum = natural.cells[p][t]
+            for p, datum in enumerate(natural.columns[t]):
                 column = interleaved_column[datum]
                 bank = perm[p]
                 if bank in used[column]:

@@ -3,7 +3,13 @@ import json
 import pytest
 
 import bankmap.cli as cli
-from bankmap import FillRule, LayoutConventions, NetworkObjective, ProblemSpec, validate_permutation
+from bankmap import (
+    FillRule,
+    LayoutConventions,
+    NetworkObjective,
+    ProblemSpec,
+    validate_permutation,
+)
 from bankmap.cli import main
 from conftest import CROSSBAR_ONLY_MAPPING, DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
 from helpers import canonical_digest, solver_report

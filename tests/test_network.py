@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bankmap import (
     ColumnRef,
+    FillRule,
+    LayoutConventions,
     MappingState,
     NetworkObjective,
     ObjectiveIncompatible,
@@ -140,3 +144,68 @@ def test_barrel_words_replay_to_column_patterns(spec):
         for t, word in enumerate(controls.words(order)):
             replayed = apply_control_word(BARREL, reference, word)
             assert replayed == column_pattern(mapping, sched, t)
+
+
+def rotation_consistent(state, column, row, bank):
+    # per-bank reference: is there a rotation of the (possibly partial)
+    # reference pattern that agrees with the column's filled cells plus
+    # `bank` at `row`? An unfilled reference slot may take any bank the
+    # reference does not use yet.
+    reference = state.column(column.order, 0)
+    reference_used = state.used_banks(column.order, 0)
+    size = len(reference)
+    cells = [(j, v) for j, v in enumerate(state.column(column.order, column.index))
+             if v is not None]
+    cells.append((row, bank))
+    for r in range(size):
+        for j, v in cells:
+            have = reference[(j - r) % size]
+            if have is None:
+                if reference_used >> v & 1:
+                    break
+            elif have != v:
+                break
+        else:
+            return True
+    return False
+
+
+def reference_partition(state, column, row):
+    free = state.free_banks(column.order, row, column.index)
+    structural = [b for b in range(state.rows) if free >> b & 1]
+    friendly = [b for b in structural if rotation_consistent(state, column, row, b)]
+    return friendly, [b for b in structural if b not in friendly]
+
+
+@pytest.mark.parametrize("fill", list(FillRule))
+def test_partition_admissible_matches_per_bank_reference(fill):
+    rng = random.Random(fill.value)
+    checked = 0
+    for _ in range(80):
+        x, n = rng.randrange(1, 9), rng.randrange(1, 6)
+        entries = list(range(x * n))
+        rng.shuffle(entries)
+        spec = ProblemSpec(
+            validate_permutation(entries), x, LayoutConventions(interleaved_fill=fill)
+        )
+        pair = SchedulePair.from_problem(spec)
+        state = MappingState.fresh(pair)
+        if rng.random() < 0.5:
+            initialize(state)
+        # a random partial state, mostly following objective-friendly banks
+        data = [d for d in range(spec.size) if state.bank_of[d] is None]
+        rng.shuffle(data)
+        for datum in data[:rng.randrange(len(data) + 1)]:
+            row, t = pair.position(Order.NATURAL, datum)
+            friendly, rest = reference_partition(state, ColumnRef(Order.NATURAL, t), row)
+            choices = friendly if friendly and rng.random() < 0.7 else friendly + rest
+            if choices:
+                state.assign(datum, rng.choice(choices))
+        for order in Order:
+            for t in range(n):
+                column = ColumnRef(order, t)
+                for row, _ in state.empty_cells(column):
+                    expected = reference_partition(state, column, row)
+                    assert partition_admissible(state, column, row, BARREL) == expected
+                    checked += 1
+    assert checked > 500

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bankmap import (
+    BankMapError,
     DuplicateEntry,
     EmptyInput,
     FillRule,
@@ -106,3 +108,37 @@ def test_datum_positions_are_well_defined(spec):
         for order in Order:
             p, t = pair.position(order, datum)
             assert pair.of(order).cells[p][t] == datum
+
+
+@given(problems(), st.sampled_from(FillRule), st.sampled_from(FillRule))
+def test_columns_are_the_stored_view(spec, natural_fill, interleaved_fill):
+    # columns, column(t) and the derived row view agree, and column_of is
+    # the column half of position, under every pair of fill rules
+    spec = ProblemSpec(
+        spec.permutation, spec.parallelism, LayoutConventions(natural_fill, interleaved_fill)
+    )
+    pair = SchedulePair.from_problem(spec)
+    for order in Order:
+        sched = pair.of(order)
+        cells = sched.cells
+        for t in range(spec.cycles):
+            rows = tuple(cells[p][t] for p in range(spec.parallelism))
+            assert sched.columns[t] == sched.column(t) == rows
+        for datum in range(spec.size):
+            assert pair.column_of[order][datum] == pair.position(order, datum)[1]
+
+
+@pytest.mark.parametrize("entries", [["1", "0", 2.9], [True, False], [0, 1.0], [None]])
+def test_non_integer_entries_rejected(entries):
+    with pytest.raises(BankMapError) as err:
+        validate_permutation(entries)
+    bad = next(v for v in entries if type(v) is not int)
+    assert repr(bad) in str(err.value)
+
+
+@pytest.mark.parametrize("parallelism", [True, 2.0, "2"])
+def test_non_integer_parallelism_rejected(parallelism):
+    perm = validate_permutation([0, 1, 2, 3])
+    with pytest.raises(BankMapError) as err:
+        ProblemSpec(perm, parallelism)
+    assert repr(parallelism) in str(err.value)

@@ -191,6 +191,26 @@ def test_assign_rejects_bank_used_in_either_column(demo_pair):
     state.check_invariants()
 
 
+@pytest.mark.parametrize("bank", [3, 7, -1])
+def test_assign_rejects_bank_out_of_range(demo_pair, bank):
+    state = initialize(MappingState.fresh(demo_pair))  # X = 3
+    with pytest.raises(InvariantViolation):
+        state.assign(1, bank)
+    assert state.bank_of[1] is None
+    state.check_invariants()
+
+
+def test_check_invariants_catches_bank_out_of_range(demo_pair):
+    state = initialize(MappingState.fresh(demo_pair))
+    # what an unchecked assign(1, 7) would leave: the table and both masks
+    # agree on a bank that does not exist at X = 3
+    state.bank_of[1] = 7
+    for order in Order:
+        state.used[order][demo_pair.column_of[order][1]] |= 1 << 7
+    with pytest.raises(InvariantViolation):
+        state.check_invariants()
+
+
 def test_check_invariants_catches_stale_mask(demo_pair):
     state = initialize(MappingState.fresh(demo_pair))
     state.used[Order.INTERLEAVED][1] = 0  # forget datum 0's bank
