@@ -57,6 +57,7 @@ from .solver import (
     Status,
     assign_column,
     candidate_assignments,
+    colour_crossbar,
     initialize,
     retract_column,
     select_target_column,

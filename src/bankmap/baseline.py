@@ -13,7 +13,7 @@ not realizable by anything cheaper than a crossbar.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import RepairBudgetExhausted
@@ -26,10 +26,12 @@ REPAIR_BUDGET_PER_DATUM = 1000
 @dataclass(frozen=True)
 class TileMatrix:
     """Tile ids over the natural layout: tile(p, t) = interleaved cycle of
-    the datum at natural cell (p, t)."""
+    the datum at natural cell (p, t). mates[d] lists the data datum d must
+    not share a bank with: those of its natural column and of its tile."""
 
     schedules: SchedulePair
     tiles: tuple
+    mates: tuple = field(repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -39,29 +41,33 @@ class TileMatrix:
 def build_tiles(schedules: SchedulePair) -> TileMatrix:
     tile_of = schedules.column_of[Order.INTERLEAVED]
     tiles = tuple(tuple(tile_of[d] for d in row) for row in schedules.natural.cells)
-    return TileMatrix(schedules, tiles)
+    return TileMatrix(schedules, tiles, _mates(schedules))
 
 
-def _mates(tiles: TileMatrix) -> list[set]:
-    """Per datum: the data it must not share a bank with (column or tile).
+def _mates(schedules: SchedulePair) -> tuple:
+    """Per datum: the other data of its natural column, then of its tile
+    (the tiles are the interleaved columns), without repeats.
 
-    The tiles are the interleaved columns.
+    Each list keeps the iteration order of a set filled in that order, so
+    the repair's evictions, and with them its seeded draws, do not depend
+    on how the lists are stored.
     """
-    schedules = tiles.schedules
-    mates = [set() for _ in range(schedules.size)]
-    for group in schedules.natural.columns + schedules.interleaved.columns:
-        for d in group:
-            mates[d].update(e for e in group if e != d)
-    return mates
+    natural_of = schedules.column_of[Order.NATURAL]
+    tile_of = schedules.column_of[Order.INTERLEAVED]
+    mates = []
+    for d in range(schedules.size):
+        group = {e for e in schedules.natural.columns[natural_of[d]] if e != d}
+        group.update(e for e in schedules.interleaved.columns[tile_of[d]] if e != d)
+        mates.append(tuple(group))
+    return tuple(mates)
 
 
 def satisfies_tile_constraints(banks: Sequence[Optional[int]], tiles: TileMatrix) -> bool:
     """Column and tile distinctness over the assigned cells."""
-    mates = _mates(tiles)
     for d, bank in enumerate(banks):
         if bank is None:
             continue
-        if any(banks[e] == bank for e in mates[d]):
+        if any(banks[e] == bank for e in tiles.mates[d]):
             return False
     return True
 
@@ -73,7 +79,7 @@ def greedy_fill(tiles: TileMatrix) -> list[Optional[int]]:
     bank, then the lowest bank clashing with neither the natural column
     so far nor its tile-mates so far.
     """
-    mates = _mates(tiles)
+    mates = tiles.mates
     banks: list[Optional[int]] = [None] * tiles.schedules.size
     for column in tiles.schedules.natural.columns:
         for p, datum in enumerate(column):
@@ -100,7 +106,7 @@ def repair_complete(
     banks = list(partial)
     if all(b is not None for b in banks):
         return tuple(banks)
-    mates = _mates(tiles)
+    mates = tiles.mates
     rng = random.Random(seed)
     budget = REPAIR_BUDGET_PER_DATUM * tiles.schedules.size
     pending = [d for column in tiles.schedules.natural.columns for d in column if banks[d] is None]

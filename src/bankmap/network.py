@@ -10,8 +10,8 @@ built from, and therefore which per-cycle bank patterns are realizable:
     matrix's column 0 (the reference pattern, fixed per order).
 
 Adding a network kind means adding an enum member plus a case in
-objective_compatible (the whole-mapping check), partition_admissible (the
-candidate-ordering hook used by the solver) and derive_controls.
+objective_compatible (the whole-mapping check), admissible_banks (the
+per-cell candidate filter used by the solver) and derive_controls.
 """
 
 from __future__ import annotations
@@ -62,48 +62,33 @@ def objective_compatible(
     return True
 
 
-def partition_admissible(
+def admissible_banks(
     state, column: ColumnRef, row: int, objective: NetworkObjective
-) -> tuple[list[int], list[int]]:
-    """Split a cell's structurally legal banks into (objective-friendly, rest).
+) -> list[int]:
+    """Candidate banks for one empty cell, in ascending bank id.
 
-    A bank is objective-friendly when some rotation of the (possibly
-    partial) reference pattern agrees with the column's filled cells and
-    puts that bank at `row`; an unfilled reference slot may take any bank
-    the reference does not use yet. Both halves are in ascending bank id.
-    `state` is a solver MappingState; only its free_banks, column and
-    used_banks accessors are consulted.
+    A bank is a candidate when it is structurally legal and, for a barrel
+    shifter, objective-friendly: some rotation of the (possibly partial)
+    reference pattern agrees with the column's filled cells and puts that
+    bank at `row`, where an unfilled reference slot may take any bank the
+    reference does not use yet. `state` is a solver MappingState; only its
+    free_banks, column and used_banks accessors are consulted.
     """
     free = state.free_banks(column.order, row, column.index)
-    structural = [b for b in range(state.rows) if free >> b & 1]
-    if objective is NetworkObjective.CROSSBAR:
-        return structural, []
-    reference = state.column(column.order, 0)
-    size = len(reference)
-    unused = ~state.used_banks(column.order, 0)
-    filled = [(j, v) for j, v in enumerate(state.column(column.order, column.index))
-              if v is not None]
-    friendly = 0
-    for r in range(size):
-        rotated = reference[size - r:] + reference[:size - r]  # [j] = reference[(j - r) % X]
-        if all(rotated[j] == v or rotated[j] is None and unused >> v & 1 for j, v in filled):
-            have = rotated[row]
-            friendly |= unused if have is None else 1 << have
-    preferred = [b for b in structural if friendly >> b & 1]
-    rest = [b for b in structural if not friendly >> b & 1]
-    return preferred, rest
-
-
-def admissible_banks(
-    state, column: ColumnRef, row: int, objective: NetworkObjective, strict: bool = False
-) -> list[int]:
-    """Candidate banks for one empty cell, objective-preferred first.
-
-    In strict mode the banks that cannot keep the objective are dropped
-    instead of merely sorted last.
-    """
-    preferred, rest = partition_admissible(state, column, row, objective)
-    return preferred if strict else preferred + rest
+    if objective is NetworkObjective.BARREL_SHIFTER:
+        reference = state.column(column.order, 0)
+        size = len(reference)
+        unused = ~state.used_banks(column.order, 0)
+        filled = [(j, v) for j, v in enumerate(state.column(column.order, column.index))
+                  if v is not None]
+        friendly = 0
+        for r in range(size):
+            rotated = reference[size - r:] + reference[:size - r]  # [j] = reference[(j - r) % X]
+            if all(rotated[j] == v or rotated[j] is None and unused >> v & 1 for j, v in filled):
+                have = rotated[row]
+                friendly |= unused if have is None else 1 << have
+        free &= friendly
+    return [b for b in range(state.rows) if free >> b & 1]
 
 
 @dataclass(frozen=True)

@@ -185,16 +185,24 @@ class ColumnRef(NamedTuple):
 @dataclass(frozen=True)
 class SchedulePair:
     """Both schedules of one problem plus, per order, the column index of
-    every datum: column_of[order][datum]."""
+    every datum: column_of[order][datum]. rows (X), cycles (N) and size
+    (L) are plain attributes, read on the solver's hot paths."""
 
     natural: AccessSchedule
     interleaved: AccessSchedule
     column_of: dict = field(init=False, repr=False, compare=False)
+    rows: int = field(init=False, repr=False, compare=False)
+    cycles: int = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        rows, cycles = self.natural.rows, self.natural.cycles
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "size", rows * cycles)
         tables = {}
         for sched in (self.natural, self.interleaved):
-            table = [0] * (sched.rows * sched.cycles)
+            table = [0] * self.size
             for t, column in enumerate(sched.columns):
                 for datum in column:
                     table[datum] = t
@@ -212,15 +220,3 @@ class SchedulePair:
         """(row, column) of a datum in the given order's matrix."""
         t = self.column_of[order][datum]
         return self.of(order).columns[t].index(datum), t
-
-    @property
-    def rows(self) -> int:
-        return self.natural.rows
-
-    @property
-    def cycles(self) -> int:
-        return self.natural.cycles
-
-    @property
-    def size(self) -> int:
-        return self.rows * self.cycles

@@ -11,13 +11,14 @@ alternative. The first natural column is pinned to the identity bank
 pattern, which removes the bank-relabeling symmetry without losing
 solutions for relabel-invariant objectives.
 
-A strict pass only offers objective-friendly candidates and additionally
+The search only offers objective-friendly candidates and additionally
 requires a complete assignment to realize the requested network before
 accepting it (the per-cell filter is sound but not tight while the
-reference column of the permuted matrix is still partial). In relaxed
-operation a failed strict pass is rerun with the filter off - candidate
-ordering still prefers objective-friendly banks - and the outcome
-reports honestly whether the objective was met.
+reference column of the permuted matrix is still partial), so a failed
+search proves the objective unreachable. Without strict_objective the
+solve then falls back to colour_crossbar: any collision-free mapping
+will do, and one is found in polynomial time without a second search.
+The outcome reports honestly whether the objective was met.
 
 Every layer reads the schedules by column: a column's data come from
 `columns[t]` and a datum's column of the other order from `column_of`.
@@ -28,7 +29,7 @@ order that holds a still-unmapped datum of either. The count itself
 depends only on the multiset of the empty cells' free-bank masks (each
 the column's free banks minus those used in the datum's other column,
 built in one pass), so the bitmask DP's result is memoised on their
-sorted tuple for the whole solve, across the strict and relaxed passes.
+sorted tuple for the whole solve.
 
 The search is driven by an explicit frame stack with an exact undo log,
 so its depth is bounded by the number of columns, not by the
@@ -59,8 +60,7 @@ class MappingState:
     Two derived caches sit beside the logical state and take no part in
     equality. counts[order][t] is the column's completion_count, or None
     once a change may have moved it. memo maps the sorted free-bank masks
-    of a column's empty cells to their count; it may be shared by every
-    state of one solve.
+    of a column's empty cells to their count.
     """
 
     schedules: SchedulePair
@@ -70,10 +70,10 @@ class MappingState:
     memo: dict = field(compare=False, repr=False)
 
     @classmethod
-    def fresh(cls, schedules: SchedulePair, memo: Optional[dict] = None) -> "MappingState":
+    def fresh(cls, schedules: SchedulePair) -> "MappingState":
         used = {order: [0] * schedules.cycles for order in Order}
         counts = {order: [None] * schedules.cycles for order in Order}
-        return cls(schedules, [None] * schedules.size, used, counts, {} if memo is None else memo)
+        return cls(schedules, [None] * schedules.size, used, counts, {})
 
     @property
     def rows(self) -> int:
@@ -284,15 +284,12 @@ def candidate_assignments(
     state: MappingState,
     column: ColumnRef,
     objective: NetworkObjective,
-    strict: bool = False,
 ) -> CandidateSet:
     """Per-cell admissible banks for a column, combined into full tuples."""
     cells = state.empty_cells(column)
     if not cells:
         raise InvariantViolation(f"column {column} has no empty cell")
-    lists = tuple(
-        tuple(admissible_banks(state, column, row, objective, strict)) for row, _ in cells
-    )
+    lists = tuple(tuple(admissible_banks(state, column, row, objective)) for row, _ in cells)
     return CandidateSet(column, tuple(cells), lists)
 
 
@@ -414,21 +411,19 @@ def _backtrack(frames, state, stats, max_nodes, trace) -> bool:
 def _run_pass(
     schedules: SchedulePair,
     objective: NetworkObjective,
-    strict_filter: bool,
     options: SolveOptions,
     stats: SolveStats,
     trace,
-    memo: dict,
 ) -> Optional[tuple]:
-    state = initialize(MappingState.fresh(schedules, memo))
+    state = initialize(MappingState.fresh(schedules))
     frames: list[_Frame] = []
     while True:
         column = select_target_column(state)
         if column is None:
             mapping = state.mapping()
-            # The per-cell filter is only sound, not tight; a strict pass
-            # re-checks the finished assignment and keeps searching on a miss.
-            if not strict_filter or objective_compatible(mapping, schedules, objective):
+            # The per-cell filter is only sound, not tight; the finished
+            # assignment is re-checked and the search goes on after a miss.
+            if objective_compatible(mapping, schedules, objective):
                 return mapping
             if not _backtrack(frames, state, stats, options.max_nodes, trace):
                 return None
@@ -436,12 +431,60 @@ def _run_pass(
         if trace is not None:
             data = tuple(d for _, d in state.empty_cells(column))
             trace.append(TraceEvent("select", column.order, column.index, data, None))
-        candidates = candidate_assignments(state, column, objective, strict=strict_filter)
+        candidates = candidate_assignments(state, column, objective)
         frames.append(_Frame(column, iter(candidates)))
         if not _advance(frames, state, stats, options.max_nodes, trace):
             frames.pop()
             if not _backtrack(frames, state, stats, options.max_nodes, trace):
                 return None
+
+
+def colour_crossbar(schedules: SchedulePair) -> tuple[int, ...]:
+    """A collision-free mapping found by edge colouring, with no search.
+
+    The natural and interleaved columns are the two sides of an X-regular
+    bipartite multigraph with one edge per datum, and a proper
+    X-edge-colouring of it is a collision-free mapping, so one always
+    exists (Koenig). Edges are coloured in datum order with the lowest
+    bank free at each end. When the natural end's free bank a is taken at
+    the interleaved end, whose free bank is b, the a/b alternating path
+    from the interleaved end is swapped first; it cannot reach the
+    natural end, which has no a edge. Banks are then relabelled so that
+    natural column 0 reads the identity, as the search pins it.
+    """
+    rows = schedules.rows
+    natural_of = schedules.column_of[Order.NATURAL]
+    interleaved_of = schedules.column_of[Order.INTERLEAVED]
+    # datum holding each bank, per column of each order (None when free)
+    at_natural = [[None] * rows for _ in range(schedules.cycles)]
+    at_interleaved = [[None] * rows for _ in range(schedules.cycles)]
+    bank_of = [0] * schedules.size
+    for datum in range(schedules.size):
+        here, there = at_natural[natural_of[datum]], at_interleaved[interleaved_of[datum]]
+        a = here.index(None)
+        if there[a] is not None:
+            b = there.index(None)
+            path = []
+            column, colour = there, a
+            while column[colour] is not None:
+                edge = column[colour]
+                path.append(edge)
+                column = (at_natural[natural_of[edge]] if colour == a
+                          else at_interleaved[interleaved_of[edge]])
+                colour = a + b - colour
+            for edge in path:
+                at_natural[natural_of[edge]][bank_of[edge]] = None
+                at_interleaved[interleaved_of[edge]][bank_of[edge]] = None
+            for edge in path:
+                bank_of[edge] = swapped = a + b - bank_of[edge]
+                at_natural[natural_of[edge]][swapped] = edge
+                at_interleaved[interleaved_of[edge]][swapped] = edge
+        bank_of[datum] = a
+        here[a] = there[a] = datum
+    relabel = [0] * rows
+    for p, datum in enumerate(schedules.natural.columns[0]):
+        relabel[bank_of[datum]] = p
+    return tuple(relabel[bank] for bank in bank_of)
 
 
 def solve(
@@ -451,17 +494,18 @@ def solve(
 ) -> SolveOutcome:
     """Find a collision-free bank mapping honoring the network objective.
 
-    Strict mode reports Infeasible when the objective cannot be met;
-    otherwise the search falls back to structural constraints alone and
-    objective_met records the achieved result. The node budget, when set,
-    is shared across both passes. Identical inputs always produce the
-    identical outcome, stats and trace included.
+    One backtracking search runs, offering only objective-friendly banks.
+    When it proves the objective unreachable, strict mode reports
+    Infeasible; otherwise the solve appends a relax event to the trace and
+    returns colour_crossbar's mapping, and objective_met records the
+    achieved result. Stats and the node budget cover the search alone.
+    Identical inputs always produce the identical outcome, stats and
+    trace included.
     """
     options = options or SolveOptions()
     schedules = SchedulePair.from_problem(problem)
     stats = SolveStats()
     trace: Optional[list] = [] if options.trace else None
-    memo: dict = {}  # completion counts by sorted free-bank masks, shared by both passes
 
     def finish(status: Status, mapping: Optional[tuple]) -> SolveOutcome:
         met = mapping is not None and objective_compatible(mapping, schedules, objective)
@@ -469,13 +513,13 @@ def solve(
         return SolveOutcome(status, mapping, met, stats, frozen)
 
     try:
-        mapping = _run_pass(schedules, objective, True, options, stats, trace, memo)
-        if mapping is None and not options.strict_objective:
-            if trace is not None:
-                trace.append(TraceEvent("relax", None, None, None, None))
-            mapping = _run_pass(schedules, objective, False, options, stats, trace, memo)
+        mapping = _run_pass(schedules, objective, options, stats, trace)
     except _BudgetExceeded:
         return finish(Status.BUDGET_EXHAUSTED, None)
+    if mapping is None and not options.strict_objective:
+        if trace is not None:
+            trace.append(TraceEvent("relax", None, None, None, None))
+        mapping = colour_crossbar(schedules)
     if mapping is None:
         return finish(Status.INFEASIBLE, None)
     return finish(Status.SOLVED, mapping)

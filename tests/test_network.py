@@ -24,7 +24,7 @@ from bankmap import (
     solve,
     validate_permutation,
 )
-from bankmap.network import admissible_banks, partition_admissible
+from bankmap.network import admissible_banks
 from conftest import CROSSBAR_ONLY_MAPPING, KNOWN_MAPPING
 from helpers import problems
 
@@ -85,8 +85,7 @@ def test_admissible_banks_rotation_first(demo_pair):
     state = initialize(MappingState.fresh(demo_pair))
     assign_column(state, ColumnRef(Order.INTERLEAVED, 3), (0,))
     column = ColumnRef(Order.NATURAL, 2)
-    assert admissible_banks(state, column, 0, BARREL) == [2, 1]
-    assert admissible_banks(state, column, 0, BARREL, strict=True) == [2]
+    assert admissible_banks(state, column, 0, BARREL) == [2]
     assert admissible_banks(state, column, 0, CROSSBAR) == [1, 2]
 
 
@@ -98,9 +97,8 @@ def test_admissible_banks_dead_rotation_column(demo_pair):
     column = ColumnRef(Order.NATURAL, 1)
     grid = state.grid(Order.NATURAL)
     assert (grid[0][1], grid[2][1]) == (0, 1)
-    preferred, rest = partition_admissible(state, column, 1, BARREL)
-    assert preferred == []
-    assert rest == [2]
+    assert admissible_banks(state, column, 1, BARREL) == []
+    assert admissible_banks(state, column, 1, CROSSBAR) == [2]
 
 
 def test_derive_controls_known_mapping(demo_pair):
@@ -205,7 +203,7 @@ def test_partition_admissible_matches_per_bank_reference(fill):
             for t in range(n):
                 column = ColumnRef(order, t)
                 for row, _ in state.empty_cells(column):
-                    expected = reference_partition(state, column, row)
-                    assert partition_admissible(state, column, row, BARREL) == expected
+                    expected, _ = reference_partition(state, column, row)
+                    assert admissible_banks(state, column, row, BARREL) == expected
                     checked += 1
     assert checked > 500

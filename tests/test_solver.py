@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bankmap import (
     ColumnRef,
@@ -20,16 +22,18 @@ from bankmap import (
     assign_column,
     brute_force_solve,
     candidate_assignments,
+    colour_crossbar,
     initialize,
     retract_column,
+    satisfies_partition_definition,
     select_target_column,
     solve,
     validate_permutation,
     verify_mapping,
 )
-from bankmap.solver import completion_count
+from bankmap.solver import TraceEvent, completion_count
 from conftest import DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
-from helpers import outcome_digest, random_problem, size_parallelism_pairs
+from helpers import outcome_digest, problems, random_problem, size_parallelism_pairs
 
 BARREL = NetworkObjective.BARREL_SHIFTER
 CROSSBAR = NetworkObjective.CROSSBAR
@@ -444,6 +448,83 @@ def test_strict_fails_where_relaxed_degrades(pinned):
     assert not relaxed.objective_met
     pair = SchedulePair.from_problem(spec)
     assert verify_mapping(relaxed.mapping, pair).valid
+
+
+def with_fill(spec, fill):
+    return ProblemSpec(
+        spec.permutation, spec.parallelism, LayoutConventions(interleaved_fill=fill)
+    )
+
+
+def assert_colouring_valid(pair):
+    mapping = colour_crossbar(pair)
+    assert verify_mapping(mapping, pair).valid
+    assert satisfies_partition_definition(mapping, pair)
+    assert [mapping[d] for d in pair.natural.column(0)] == list(range(pair.rows))
+    return mapping
+
+
+@given(problems(max_size=16, parallelisms=(1, 2, 3, 4)), st.sampled_from(FillRule))
+def test_colour_crossbar_is_an_oracle_mapping(spec, fill):
+    pair = SchedulePair.from_problem(with_fill(spec, fill))
+    oracle = brute_force_solve(pair, CROSSBAR, fix_first_column=True)
+    assert colour_crossbar(pair) in oracle
+
+
+def test_colour_crossbar_on_criterion_8_instances():
+    # the 200 random instances of acceptance criterion 8
+    rng = random.Random(512)
+    pairs = size_parallelism_pairs(64, (2, 3, 4))
+    for _ in range(200):
+        assert_colouring_valid(SchedulePair.from_problem(random_problem(rng, pairs)))
+
+
+def qpp_6144():
+    # the LTE turbo interleaver for K = 6144: f(i) = (263 i + 480 i^2) mod K
+    return [(263 * i + 480 * i * i) % 6144 for i in range(6144)]
+
+
+@pytest.mark.parametrize("parallelism", [16, 64])
+@pytest.mark.parametrize("fill", list(FillRule))
+def test_colour_crossbar_at_block_size(parallelism, fill):
+    rng = random.Random(parallelism)
+    shuffled = list(range(6144))
+    rng.shuffle(shuffled)
+    for entries in (shuffled, qpp_6144()):
+        spec = ProblemSpec(
+            validate_permutation(entries), parallelism, LayoutConventions(interleaved_fill=fill)
+        )
+        pair = SchedulePair.from_problem(spec)
+        assert assert_colouring_valid(pair) == colour_crossbar(pair)  # deterministic
+
+
+def barrel_infeasible_specs(pinned, count=20):
+    doc = pinned["barrel_infeasible"]
+    specs = [ProblemSpec(validate_permutation(doc["permutation"]), doc["parallelism"])]
+    rng = random.Random(41)
+    pairs = size_parallelism_pairs(24, (3, 4))
+    while len(specs) < count + 1:
+        spec = with_fill(random_problem(rng, pairs), rng.choice(list(FillRule)))
+        if solve(spec, BARREL, SolveOptions(strict_objective=True)).status is Status.INFEASIBLE:
+            specs.append(spec)
+    return specs
+
+
+def test_relaxed_solve_is_the_strict_search_plus_colouring(pinned):
+    relax = TraceEvent("relax", None, None, None, None)
+    for spec in barrel_infeasible_specs(pinned):
+        pair = SchedulePair.from_problem(spec)
+        strict = solve(spec, BARREL, SolveOptions(strict_objective=True, trace=True))
+        relaxed = solve(spec, BARREL, SolveOptions(trace=True))
+        assert strict.status is Status.INFEASIBLE
+        assert relaxed.status is Status.SOLVED and not relaxed.objective_met
+        assert relaxed.stats == strict.stats
+        assert relaxed.trace == strict.trace + (relax,)
+        assert relaxed.mapping == colour_crossbar(pair)
+        # the fallback costs no nodes, so the strict search's own budget suffices
+        budgeted = solve(spec, BARREL, SolveOptions(max_nodes=strict.stats.nodes))
+        assert budgeted.status is Status.SOLVED
+        assert budgeted.mapping == relaxed.mapping
 
 
 def test_solver_and_oracle_agree_on_small_instances():
