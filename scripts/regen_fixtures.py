@@ -176,7 +176,7 @@ def golden_traces_x8() -> list:
     under a 300-node budget that its strict pass spends. Seed 5
     (column-major) and seed 11 (row-major) are the seeds in 0-11 whose
     strict barrel pass proves infeasibility within 800 nodes, so they are
-    solved relaxed without a budget and the relaxed pass runs too.
+    solved relaxed without a budget and the colouring fallback runs too.
     """
     column_major, row_major = FillRule.COLUMN_MAJOR_SEQUENCE, FillRule.ROW_MAJOR_BLOCKS
     crossbar = [(NetworkObjective.CROSSBAR, False, None)]
