@@ -48,9 +48,9 @@ def _mates(schedules: SchedulePair) -> tuple:
     """Per datum: the other data of its natural column, then of its tile
     (the tiles are the interleaved columns), without repeats.
 
-    Each list keeps the iteration order of a set filled in that order, so
-    the repair's evictions, and with them its seeded draws, do not depend
-    on how the lists are stored.
+    Each tuple keeps the iteration order of the set it is built from: the
+    repair evicts clashing mates in this order, and its seeded draws
+    depend on it.
     """
     natural_of = schedules.column_of[Order.NATURAL]
     tile_of = schedules.column_of[Order.INTERLEAVED]

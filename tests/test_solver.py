@@ -461,7 +461,6 @@ def assert_colouring_valid(pair):
     assert verify_mapping(mapping, pair).valid
     assert satisfies_partition_definition(mapping, pair)
     assert [mapping[d] for d in pair.natural.column(0)] == list(range(pair.rows))
-    return mapping
 
 
 @given(problems(max_size=16, parallelisms=(1, 2, 3, 4)), st.sampled_from(FillRule))
@@ -494,8 +493,7 @@ def test_colour_crossbar_at_block_size(parallelism, fill):
         spec = ProblemSpec(
             validate_permutation(entries), parallelism, LayoutConventions(interleaved_fill=fill)
         )
-        pair = SchedulePair.from_problem(spec)
-        assert assert_colouring_valid(pair) == colour_crossbar(pair)  # deterministic
+        assert_colouring_valid(SchedulePair.from_problem(spec))
 
 
 def barrel_infeasible_specs(pinned, count=20):
