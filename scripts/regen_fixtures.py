@@ -12,9 +12,9 @@ solve (status, mapping, stats and full trace) on a seeded set of small
 instances plus a few X=8 ones, so a change to the solver's internals can
 be checked to search exactly as before. And it records golden reports:
 digests of baseline mappings and of the full `bankmap solve` report
-(bank contents, controls, matrices, verification) for backtracking and
-baseline solves up to X=16 and L=1536, so a change below the solver can
-be checked to emit exactly the same output.
+(bank contents, controls, matrices, verification) for backtracking
+solves up to X=16 and baseline solves up to X=64 and L=6144, so a change
+below the solver can be checked to emit exactly the same output.
 
 Run from the repository root:  python3 scripts/regen_fixtures.py
 """
@@ -198,6 +198,11 @@ def row_column(length: int, rows: int) -> list:
     return [(i % rows) * cols + i // rows for i in range(length)]
 
 
+def qpp(length: int, f1: int, f2: int) -> list:
+    """Quadratic permutation polynomial interleaver f(i) = f1*i + f2*i^2 mod L."""
+    return [(f1 * i + f2 * i * i) % length for i in range(length)]
+
+
 def report_entry(
     entries: list, parallelism: int, fill: FillRule, objective: NetworkObjective,
     solver: str, seed=None, max_nodes=None,
@@ -230,7 +235,11 @@ def golden_reports() -> list:
     row-column interleavers whose barrel objective is met at X=8 and X=16;
     the X=8 barrel shuffles run under a 300-node budget. Baseline: seeded
     shuffles at X up to 16 with two repair seeds each, and L=768 X=8 and
-    L=1536 X=16, where the greedy pass leaves many gaps to repair.
+    L=1536 X=16, where the greedy pass leaves many gaps to repair. At the
+    block size L=6144 and X in {32, 64}: a seeded shuffle, the near-square
+    row-column interleaver and the LTE QPP (f1=263, f2=480), under both
+    fills and two repair seeds; the greedy pass leaves gaps on the shuffle
+    and on the QPP under column-major fill, and none on the others.
     """
     rng = random.Random(1)
     fills = (FillRule.COLUMN_MAJOR_SEQUENCE, FillRule.ROW_MAJOR_BLOCKS)
@@ -267,6 +276,12 @@ def golden_reports() -> list:
         for fill in fills:
             out.append(report_entry(shuffled(length, 0), parallelism, fill, crossbar,
                                     "baseline", seed=0))
+    for entries in (shuffled(6144, 0), row_column(6144, 64), qpp(6144, 263, 480)):
+        for parallelism in (32, 64):
+            for fill in fills:
+                for seed in range(2):
+                    out.append(report_entry(entries, parallelism, fill, crossbar,
+                                            "baseline", seed=seed))
     return out
 
 
