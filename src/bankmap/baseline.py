@@ -8,12 +8,21 @@ are completed by forcing a bank into an empty cell and chasing these
 induced conflicts with seeded reassignments until none remain. The
 network objective is never consulted, so the result is valid but usually
 not realizable by anything cheaper than a crossbar.
+
+Both passes keep one used-bank bitmask per natural column and per tile;
+the repair also keeps, per column and per tile, which datum holds each
+bank. The assigned data stay mutually conflict-free, so a bank is held
+by at most one datum on each side, and the pending datum's column holds
+only X-1 others, so some bank clashes with at most one mate. The least
+clash is therefore 0 (the banks free in both masks) or 1 (the banks in
+exactly one mask, plus those held on both sides by one datum sharing
+the column and the tile), and exactly one mate is ever evicted.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import RepairBudgetExhausted
@@ -26,12 +35,10 @@ REPAIR_BUDGET_PER_DATUM = 1000
 @dataclass(frozen=True)
 class TileMatrix:
     """Tile ids over the natural layout: tile(p, t) = interleaved cycle of
-    the datum at natural cell (p, t). mates[d] lists the data datum d must
-    not share a bank with: those of its natural column and of its tile."""
+    the datum at natural cell (p, t)."""
 
     schedules: SchedulePair
     tiles: tuple
-    mates: tuple = field(repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -41,34 +48,17 @@ class TileMatrix:
 def build_tiles(schedules: SchedulePair) -> TileMatrix:
     tile_of = schedules.column_of[Order.INTERLEAVED]
     tiles = tuple(tuple(tile_of[d] for d in row) for row in schedules.natural.cells)
-    return TileMatrix(schedules, tiles, _mates(schedules))
-
-
-def _mates(schedules: SchedulePair) -> tuple:
-    """Per datum: the other data of its natural column, then of its tile
-    (the tiles are the interleaved columns), without repeats.
-
-    Each tuple keeps the iteration order of the set it is built from: the
-    repair evicts clashing mates in this order, and its seeded draws
-    depend on it.
-    """
-    natural_of = schedules.column_of[Order.NATURAL]
-    tile_of = schedules.column_of[Order.INTERLEAVED]
-    mates = []
-    for d in range(schedules.size):
-        group = {e for e in schedules.natural.columns[natural_of[d]] if e != d}
-        group.update(e for e in schedules.interleaved.columns[tile_of[d]] if e != d)
-        mates.append(tuple(group))
-    return tuple(mates)
+    return TileMatrix(schedules, tiles)
 
 
 def satisfies_tile_constraints(banks: Sequence[Optional[int]], tiles: TileMatrix) -> bool:
     """Column and tile distinctness over the assigned cells."""
-    for d, bank in enumerate(banks):
-        if bank is None:
-            continue
-        if any(banks[e] == bank for e in tiles.mates[d]):
-            return False
+    schedules = tiles.schedules
+    for columns in (schedules.natural.columns, schedules.interleaved.columns):
+        for column in columns:
+            assigned = [banks[d] for d in column if banks[d] is not None]
+            if len(set(assigned)) != len(assigned):
+                return False
     return True
 
 
@@ -77,17 +67,24 @@ def greedy_fill(tiles: TileMatrix) -> list[Optional[int]]:
 
     Scan is column-major, rows top-down. Each cell first tries its row's
     bank, then the lowest bank clashing with neither the natural column
-    so far nor its tile-mates so far.
+    so far nor its tile so far.
     """
-    mates = tiles.mates
-    banks: list[Optional[int]] = [None] * tiles.schedules.size
-    for column in tiles.schedules.natural.columns:
+    schedules = tiles.schedules
+    tile_of = schedules.column_of[Order.INTERLEAVED]
+    full = (1 << tiles.rows) - 1
+    tile_used = [0] * schedules.cycles
+    banks: list[Optional[int]] = [None] * schedules.size
+    for column in schedules.natural.columns:
+        column_used = 0
         for p, datum in enumerate(column):
-            blocked = {banks[e] for e in mates[datum] if banks[e] is not None}
-            for bank in [p] + [b for b in range(tiles.rows) if b != p]:
-                if bank not in blocked:
-                    banks[datum] = bank
-                    break
+            tile = tile_of[datum]
+            free = full & ~(column_used | tile_used[tile])
+            if not free:
+                continue
+            bit = 1 << p if free >> p & 1 else free & -free
+            banks[datum] = bit.bit_length() - 1
+            column_used |= bit
+            tile_used[tile] |= bit
     return banks
 
 
@@ -97,19 +94,49 @@ def repair_complete(
     """Fill the gaps left by greedy_fill by seeded conflict chasing.
 
     Each pending datum takes a bank with the fewest clashes among its
-    already-assigned mates (ties broken by the seeded generator); any
-    clashing mates are evicted and queued for reassignment. The assigned
-    cells therefore stay mutually conflict-free, and an empty queue means
-    a complete valid mapping. A budget bounds the chase; hitting it
-    raises RepairBudgetExhausted rather than looping forever.
+    already-assigned mates, the other data of its natural column and of
+    its tile (ties broken by the seeded generator: the n-th lowest of the
+    tied banks, n drawn below their count); a clashing mate is evicted
+    and queued for reassignment. The assigned cells of partial must be
+    mutually conflict-free, as greedy_fill leaves them; they stay so, and
+    an empty queue means a complete valid mapping. A budget bounds the
+    chase; hitting it raises RepairBudgetExhausted rather than looping
+    forever.
     """
     banks = list(partial)
     if all(b is not None for b in banks):
         return tuple(banks)
-    mates = tiles.mates
+    schedules = tiles.schedules
+    x = tiles.rows
+    full = (1 << x) - 1
+    column_of = schedules.column_of[Order.NATURAL]
+    tile_of = schedules.column_of[Order.INTERLEAVED]
+    # used-bank masks, and the holder of bank b in column c at c * x + b;
+    # a holder entry is current only while its mask bit is set
+    column_used = [0] * schedules.cycles
+    tile_used = [0] * schedules.cycles
+    column_holder = [0] * schedules.size
+    tile_holder = [0] * schedules.size
+    for datum, bank in enumerate(banks):
+        if bank is not None:
+            column, tile = column_of[datum], tile_of[datum]
+            column_used[column] |= 1 << bank
+            tile_used[tile] |= 1 << bank
+            column_holder[column * x + bank] = datum
+            tile_holder[tile * x + bank] = datum
+    # the few data that share both the natural column and the tile of another
+    twins: dict = {}
+    for column in schedules.natural.columns:
+        by_tile: dict = {}
+        for datum in column:
+            by_tile.setdefault(tile_of[datum], []).append(datum)
+        for group in by_tile.values():
+            if len(group) > 1:
+                for datum in group:
+                    twins[datum] = [e for e in group if e != datum]
     rng = random.Random(seed)
-    budget = REPAIR_BUDGET_PER_DATUM * tiles.schedules.size
-    pending = [d for column in tiles.schedules.natural.columns for d in column if banks[d] is None]
+    budget = REPAIR_BUDGET_PER_DATUM * schedules.size
+    pending = [d for column in schedules.natural.columns for d in column if banks[d] is None]
     stack = list(reversed(pending))  # pop() follows the scan order
     steps = 0
     while stack:
@@ -117,19 +144,36 @@ def repair_complete(
         if steps > budget:
             raise RepairBudgetExhausted(budget)
         datum = stack.pop()
-        clashes = [0] * tiles.rows
-        for mate in mates[datum]:
-            if banks[mate] is not None:
-                clashes[banks[mate]] += 1
-        least = min(clashes)
-        choices = [b for b in range(tiles.rows) if clashes[b] == least]
-        bank = choices[0] if len(choices) == 1 else rng.choice(choices)
+        column, tile = column_of[datum], tile_of[datum]
+        in_column, in_tile = column_used[column], tile_used[tile]
+        choices = full & ~(in_column | in_tile)
+        if not choices:
+            # one clash at best: a bank used on one side only, or on both
+            # by one datum that shares the column and the tile
+            choices = in_column ^ in_tile
+            for twin in twins.get(datum, ()):
+                if banks[twin] is not None:
+                    choices |= 1 << banks[twin]
+        count = choices.bit_count()
+        if count > 1:
+            for _ in range(rng.randrange(count)):
+                choices &= choices - 1
+        bit = choices & -choices
+        bank = bit.bit_length() - 1
+        if (in_column | in_tile) & bit:
+            if in_column & bit:
+                mate = column_holder[column * x + bank]
+            else:
+                mate = tile_holder[tile * x + bank]
+            banks[mate] = None
+            column_used[column_of[mate]] &= ~bit
+            tile_used[tile_of[mate]] &= ~bit
+            stack.append(mate)
         banks[datum] = bank
-        if least > 0:
-            for mate in mates[datum]:
-                if banks[mate] == bank and mate != datum:
-                    banks[mate] = None
-                    stack.append(mate)
+        column_used[column] |= bit
+        tile_used[tile] |= bit
+        column_holder[column * x + bank] = datum
+        tile_holder[tile * x + bank] = datum
     return tuple(banks)
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import __version__
 from .baseline import baseline_solve, build_tiles, greedy_fill, repair_complete
-from .errors import BankMapError, IncompleteMapping, InputFormatError
+from .errors import BankMapError, IncompleteMapping, InputFormatError, NotAnInteger
 from .network import NetworkObjective, derive_controls
 from .render import bank_letter, mapping_grids, render_bank_grid, render_matrix
 from .schedule import (
@@ -81,10 +81,17 @@ def parse_problem(doc: dict) -> tuple[ProblemSpec, NetworkObjective]:
         raise InputFormatError(sorted(unknown)[0], "unknown problem key")
     if "permutation" not in doc:
         raise InputFormatError("permutation", "missing")
-    if not isinstance(doc["permutation"], list) or not all(
-        is_int(v) for v in doc["permutation"]
-    ):
+    if not isinstance(doc["permutation"], list):
         raise InputFormatError("permutation", "must be a list of integers")
+    permutation_error = None
+    try:
+        permutation = validate_permutation(doc["permutation"])
+    except NotAnInteger:
+        raise InputFormatError("permutation", "must be a list of integers") from None
+    except BankMapError as exc:
+        # a list of integers that is no permutation is reported after the
+        # other fields, with the problem-level errors
+        permutation_error = exc
     if not is_int(doc.get("parallelism")):
         raise InputFormatError("parallelism", "must be an integer")
     conventions = LayoutConventions()
@@ -111,8 +118,9 @@ def parse_problem(doc: dict) -> tuple[ProblemSpec, NetworkObjective]:
                 "objective",
                 f"expected one of {[o.value for o in NetworkObjective]}, got {doc['objective']!r}",
             ) from None
+    if permutation_error is not None:
+        raise InputFormatError("problem", str(permutation_error)) from permutation_error
     try:
-        permutation = validate_permutation(doc["permutation"])
         spec = ProblemSpec(permutation, doc["parallelism"], conventions)
     except BankMapError as exc:
         raise InputFormatError("problem", str(exc)) from exc

@@ -79,16 +79,18 @@ def validate_permutation(entries: Sequence[int]) -> Permutation:
     """Check that entries form a bijection on {0, ..., L-1} and wrap them.
 
     Raises EmptyInput, NotAnInteger, OutOfRange or DuplicateEntry
-    otherwise; nothing is coerced.
+    otherwise; nothing is coerced. A non-integer entry is reported before
+    any range or duplicate error, wherever it sits.
     """
     values = tuple(entries)
     if not values:
         raise EmptyInput()
-    length = len(values)
-    seen = set()
     for v in values:
         if not is_int(v):
             raise NotAnInteger("permutation entry", v)
+    length = len(values)
+    seen = set()
+    for v in values:
         if not 0 <= v < length:
             raise OutOfRange(v, length)
         if v in seen:

@@ -1,13 +1,17 @@
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bankmap import (
+    FillRule,
+    LayoutConventions,
     NetworkObjective,
     Order,
     ProblemSpec,
     SchedulePair,
+    RepairBudgetExhausted,
     baseline_solve,
     build_tiles,
     greedy_fill,
@@ -15,7 +19,7 @@ from bankmap import (
     validate_permutation,
     verify_mapping,
 )
-from bankmap.baseline import satisfies_tile_constraints
+from bankmap.baseline import REPAIR_BUDGET_PER_DATUM, satisfies_tile_constraints
 from conftest import CROSSBAR_ONLY_MAPPING, DEMO_TILES
 from helpers import problems, random_problem, size_parallelism_pairs
 
@@ -32,6 +36,75 @@ def independent_mates(pair):
                     mates[a].add(b)
     return mates
 
+
+
+def reference_mates(schedules):
+    # per datum: the other data of its natural column, then of its tile
+    natural_of = schedules.column_of[Order.NATURAL]
+    tile_of = schedules.column_of[Order.INTERLEAVED]
+    mates = []
+    for d in range(schedules.size):
+        group = {e for e in schedules.natural.columns[natural_of[d]] if e != d}
+        group.update(e for e in schedules.interleaved.columns[tile_of[d]] if e != d)
+        mates.append(tuple(group))
+    return mates
+
+
+def reference_greedy(tiles):
+    # the set-based greedy pass the bitmask one replaced
+    mates = reference_mates(tiles.schedules)
+    banks = [None] * tiles.schedules.size
+    for column in tiles.schedules.natural.columns:
+        for p, datum in enumerate(column):
+            blocked = {banks[e] for e in mates[datum] if banks[e] is not None}
+            for bank in [p] + [b for b in range(tiles.rows) if b != p]:
+                if bank not in blocked:
+                    banks[datum] = bank
+                    break
+    return banks
+
+
+def reference_repair(partial, tiles, seed):
+    # the per-bank clash count repair the bitmask one replaced
+    banks = list(partial)
+    if all(b is not None for b in banks):
+        return tuple(banks)
+    mates = reference_mates(tiles.schedules)
+    rng = random.Random(seed)
+    budget = REPAIR_BUDGET_PER_DATUM * tiles.schedules.size
+    pending = [d for column in tiles.schedules.natural.columns for d in column if banks[d] is None]
+    stack = list(reversed(pending))
+    steps = 0
+    while stack:
+        steps += 1
+        if steps > budget:
+            raise RepairBudgetExhausted(budget)
+        datum = stack.pop()
+        clashes = [0] * tiles.rows
+        for mate in mates[datum]:
+            if banks[mate] is not None:
+                clashes[banks[mate]] += 1
+        least = min(clashes)
+        choices = [b for b in range(tiles.rows) if clashes[b] == least]
+        bank = choices[0] if len(choices) == 1 else rng.choice(choices)
+        banks[datum] = bank
+        if least > 0:
+            for mate in mates[datum]:
+                if banks[mate] == bank and mate != datum:
+                    banks[mate] = None
+                    stack.append(mate)
+    return tuple(banks)
+
+
+def assert_matches_reference(spec, seed):
+    pair = SchedulePair.from_problem(spec)
+    tiles = build_tiles(pair)
+    partial = greedy_fill(tiles)
+    assert partial == reference_greedy(tiles)
+    mapping = repair_complete(partial, tiles, seed)
+    assert mapping == reference_repair(partial, tiles, seed)
+    assert verify_mapping(mapping, pair).valid
+    return partial
 
 def test_tiles_match_reference(demo_pair):
     assert build_tiles(demo_pair).tiles == DEMO_TILES
@@ -162,3 +235,28 @@ def test_tile_constraints_equal_verifier(spec, seed):
     rng = random.Random(seed)
     mapping = tuple(rng.randrange(spec.parallelism) for _ in range(spec.size))
     assert satisfies_tile_constraints(mapping, tiles) == verify_mapping(mapping, pair).valid
+
+
+@given(
+    problems(max_size=64, parallelisms=tuple(range(1, 9))),
+    st.sampled_from(list(FillRule)),
+    st.integers(0, 2**32 - 1),
+)
+def test_bitmask_passes_match_reference(spec, fill, seed):
+    spec = ProblemSpec(spec.permutation, spec.parallelism, LayoutConventions(interleaved_fill=fill))
+    assert_matches_reference(spec, seed)
+
+
+@pytest.mark.parametrize("parallelism", [16, 32])
+@pytest.mark.parametrize("fill", list(FillRule))
+def test_bitmask_passes_match_reference_with_gaps(parallelism, fill):
+    # enough cycles that the greedy pass leaves gaps and the chase evicts
+    rng = random.Random(parallelism)
+    for _ in range(3):
+        entries = list(range(parallelism * 24))
+        rng.shuffle(entries)
+        spec = ProblemSpec(
+            validate_permutation(entries), parallelism, LayoutConventions(interleaved_fill=fill)
+        )
+        partial = assert_matches_reference(spec, rng.randrange(2**32))
+        assert None in partial

@@ -5,6 +5,7 @@ import pytest
 import bankmap.cli as cli
 from bankmap import (
     FillRule,
+    InputFormatError,
     LayoutConventions,
     NetworkObjective,
     ProblemSpec,
@@ -107,6 +108,25 @@ def test_solve_bad_objective_named(tmp_path, capsys):
     code, _, err = run(capsys, "solve", problem)
     assert code == 1
     assert "objective" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"permutation": [5, "a"], "parallelism": "2"}, "permutation: must be a list of integers"),
+        ({"permutation": [0, 0], "parallelism": "2"}, "parallelism: must be an integer"),
+        ({"permutation": [], "parallelism": 1, "conventions": []}, "conventions: keys must be"),
+        ({"permutation": [0, 0], "parallelism": 1, "objective": "benes"}, "objective: expected"),
+        ({"permutation": [0, 0], "parallelism": 1}, "problem: permutation entry 0 appears"),
+        ({"permutation": [2, 0], "parallelism": 1}, "problem: permutation entry 2 is outside"),
+    ],
+)
+def test_problem_errors_keep_field_order(doc, message):
+    # a non-integer entry is named before the other fields; any other
+    # permutation defect is reported after them, as a problem error
+    with pytest.raises(InputFormatError) as err:
+        cli.parse_problem(doc)
+    assert str(err.value).startswith(message)
 
 
 @pytest.mark.parametrize(

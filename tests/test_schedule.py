@@ -128,7 +128,7 @@ def test_columns_are_the_stored_view(spec, natural_fill, interleaved_fill):
             assert pair.column_of[order][datum] == pair.position(order, datum)[1]
 
 
-@pytest.mark.parametrize("entries", [["1", "0", 2.9], [True, False], [0, 1.0], [None]])
+@pytest.mark.parametrize("entries", [["1", "0", 2.9], [True, False], [0, 1.0], [None], [5, "a"]])
 def test_non_integer_entries_rejected(entries):
     with pytest.raises(BankMapError) as err:
         validate_permutation(entries)
