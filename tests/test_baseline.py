@@ -10,8 +10,8 @@ from bankmap import (
     NetworkObjective,
     Order,
     ProblemSpec,
-    SchedulePair,
     RepairBudgetExhausted,
+    SchedulePair,
     baseline_solve,
     build_tiles,
     greedy_fill,
@@ -35,7 +35,6 @@ def independent_mates(pair):
                 if pair.position(order, a)[1] == pair.position(order, b)[1]:
                     mates[a].add(b)
     return mates
-
 
 
 def reference_mates(schedules):
@@ -105,6 +104,7 @@ def assert_matches_reference(spec, seed):
     assert mapping == reference_repair(partial, tiles, seed)
     assert verify_mapping(mapping, pair).valid
     return partial
+
 
 def test_tiles_match_reference(demo_pair):
     assert build_tiles(demo_pair).tiles == DEMO_TILES
