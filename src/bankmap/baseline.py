@@ -104,7 +104,7 @@ def repair_complete(
     forever.
     """
     banks = list(partial)
-    if all(b is not None for b in banks):
+    if None not in banks:
         return tuple(banks)
     schedules = tiles.schedules
     x = tiles.rows
@@ -134,16 +134,15 @@ def repair_complete(
             if len(group) > 1:
                 for datum in group:
                     twins[datum] = [e for e in group if e != datum]
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     budget = REPAIR_BUDGET_PER_DATUM * schedules.size
     pending = [d for column in schedules.natural.columns for d in column if banks[d] is None]
     stack = list(reversed(pending))  # pop() follows the scan order
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > budget:
-            raise RepairBudgetExhausted(budget)
-        datum = stack.pop()
+    pop, push = stack.pop, stack.append
+    for _ in range(budget):
+        if not stack:
+            break
+        datum = pop()
         column, tile = column_of[datum], tile_of[datum]
         in_column, in_tile = column_used[column], tile_used[tile]
         choices = full & ~(in_column | in_tile)
@@ -151,29 +150,43 @@ def repair_complete(
             # one clash at best: a bank used on one side only, or on both
             # by one datum that shares the column and the tile
             choices = in_column ^ in_tile
-            for twin in twins.get(datum, ()):
-                if banks[twin] is not None:
-                    choices |= 1 << banks[twin]
+            if datum in twins:
+                for twin in twins[datum]:
+                    if banks[twin] is not None:
+                        choices |= 1 << banks[twin]
         count = choices.bit_count()
         if count > 1:
-            for _ in range(rng.randrange(count)):
+            # rng.randrange(count), inlined: Random._randbelow_with_getrandbits
+            # draws count.bit_length() bits until the value is below count
+            # (CPython 3.10-3.12), so this consumes the same bits and saves
+            # two Python frames per draw
+            k = count.bit_length()
+            n = getrandbits(k)
+            while n >= count:
+                n = getrandbits(k)
+            for _ in range(n):
                 choices &= choices - 1
         bit = choices & -choices
         bank = bit.bit_length() - 1
-        if (in_column | in_tile) & bit:
-            if in_column & bit:
-                mate = column_holder[column * x + bank]
-            else:
-                mate = tile_holder[tile * x + bank]
-            banks[mate] = None
-            column_used[column_of[mate]] &= ~bit
+        # evict the one mate holding the bank; its bit stays set on the side
+        # it shares with datum, which takes the bank there
+        if in_column & bit:
+            mate = column_holder[column * x + bank]
             tile_used[tile_of[mate]] &= ~bit
-            stack.append(mate)
+            banks[mate] = None
+            push(mate)
+        elif in_tile & bit:
+            mate = tile_holder[tile * x + bank]
+            column_used[column_of[mate]] &= ~bit
+            banks[mate] = None
+            push(mate)
         banks[datum] = bank
-        column_used[column] |= bit
-        tile_used[tile] |= bit
+        column_used[column] = in_column | bit
+        tile_used[tile] = in_tile | bit
         column_holder[column * x + bank] = datum
         tile_holder[tile * x + bank] = datum
+    if stack:
+        raise RepairBudgetExhausted(budget)
     return tuple(banks)
 
 

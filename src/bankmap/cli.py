@@ -9,6 +9,9 @@ Mapping file schema: {"banks": [[data ids], ...]} with one list per bank;
 extra keys are tolerated so a solve report can be fed straight back to
 the verify subcommand.
 
+Reports go to stdout as one line of compact JSON (`python -m json.tool
+report.json` indents one); --pretty renders the human view to stderr.
+
 Exit codes: 0 solved and objective met (or verification clean), 1 bad
 input, 2 solved with the objective relaxed, 3 infeasible or budget
 exhausted, 4 verification found collisions.
@@ -194,14 +197,15 @@ def build_report(
     # when the requested kind is out of reach; the schedule stays usable.
     control_kind = objective if met else NetworkObjective.CROSSBAR
     controls = derive_controls(mapping, schedules, control_kind)
-    grids = mapping_grids(mapping, schedules)
+    letters = [bank_letter(b) for b in range(schedules.rows)]
+    letter_of = [letters[b] for b in mapping]
     report.update(
         {
             "objective_met": met,
             "banks": [list(bank) for bank in verification.bank_contents],
             "matrices": {
                 order.value: [
-                    " ".join(bank_letter(b) for b in row) for row in grids[order]
+                    " ".join([letter_of[d] for d in row]) for row in schedules.of(order).cells
                 ]
                 for order in Order
             },
@@ -272,7 +276,7 @@ def cmd_solve(args) -> int:
         spec, objective, solver_name, status, mapping, schedules, stats,
         seed=args.seed if solver_name == "baseline" else None,
     )
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report))
     if args.pretty:
         _pretty_solve(report, schedules)
     if status is not Status.SOLVED:
@@ -285,7 +289,7 @@ def cmd_verify(args) -> int:
     schedules = SchedulePair.from_problem(spec)
     mapping = parse_mapping(_load_json(args.mapping, "mapping"), schedules)
     report = verify_mapping(mapping, schedules, objectives=[objective])
-    print(json.dumps(report.to_json(), indent=2))
+    print(json.dumps(report.to_json()))
     if args.pretty:
         grids = mapping_grids(mapping, schedules)
         for order in Order:
@@ -334,7 +338,7 @@ def cmd_compare(args) -> int:
             for run in runs
         ],
     }
-    print(json.dumps({"summary": summary, "reports": runs}, indent=2))
+    print(json.dumps({"summary": summary, "reports": runs}))
     if args.pretty:
         for run in summary["runs"]:
             print(

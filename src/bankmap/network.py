@@ -33,11 +33,19 @@ def rotation_offset(reference: Sequence[int], column: Sequence[int]) -> Optional
     """The r with column[j] == reference[(j - r) % X] for all rows, else None.
 
     r reads as "the reference pattern shifted down by r rows"; it is
-    unique whenever the reference entries are pairwise distinct.
+    unique whenever the reference entries are pairwise distinct, and the
+    smallest one is returned when they are not. Only the rotations that
+    bring column[0] to row 0 are tried.
     """
     size = len(reference)
-    for r in range(size):
-        if all(column[j] == reference[(j - r) % size] for j in range(size)):
+    if not size:
+        return None
+    doubled = tuple(reference) * 2  # rotation r is doubled[size - r:2 * size - r]
+    column = tuple(column)
+    head = column[0]
+    # reference[i] lands on row 0 under the rotation r = -i mod size
+    for r in sorted(-i % size for i, bank in enumerate(reference) if bank == head):
+        if doubled[size - r:2 * size - r] == column:
             return r
     return None
 

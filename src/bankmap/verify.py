@@ -65,9 +65,10 @@ class VerificationReport:
 
 
 def _require_total(bank_of: Sequence[Optional[int]], size: int) -> None:
-    missing = [d for d in range(size) if d >= len(bank_of) or bank_of[d] is None]
-    if missing:
-        raise IncompleteMapping(missing)
+    if len(bank_of) < size or None in bank_of:
+        missing = [d for d in range(size) if d >= len(bank_of) or bank_of[d] is None]
+        if missing:
+            raise IncompleteMapping(missing)
 
 
 def verify_mapping(
@@ -81,9 +82,12 @@ def verify_mapping(
     each queried objective - whether the mapping could realize it.
     """
     _require_total(bank_of, schedules.size)
+    bank_at = bank_of.__getitem__
     conflicts = []
     for order in Order:
         for t, column in enumerate(schedules.of(order).columns):
+            if len(set(map(bank_at, column))) == len(column):
+                continue  # distinct banks: no pair to report
             per_bank: dict = {}
             for datum in column:
                 per_bank.setdefault(bank_of[datum], []).append(datum)

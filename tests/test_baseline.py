@@ -19,6 +19,7 @@ from bankmap import (
     validate_permutation,
     verify_mapping,
 )
+from bankmap import baseline
 from bankmap.baseline import REPAIR_BUDGET_PER_DATUM, satisfies_tile_constraints
 from conftest import CROSSBAR_ONLY_MAPPING, DEMO_TILES
 from helpers import problems, random_problem, size_parallelism_pairs
@@ -184,6 +185,22 @@ def test_repair_completes_gap_instance(pinned):
     for seed in range(5):
         mapping = repair_complete(partial, tiles, seed)
         assert verify_mapping(mapping, pair).valid
+
+
+def test_repair_budget_bounds_the_chase(pinned, monkeypatch):
+    doc = pinned["greedy_gap"]
+    spec = ProblemSpec(validate_permutation(doc["permutation"]), doc["parallelism"])
+    pair = SchedulePair.from_problem(spec)
+    tiles = build_tiles(pair)
+    partial = greedy_fill(tiles)
+    monkeypatch.setattr(baseline, "REPAIR_BUDGET_PER_DATUM", 0)
+    with pytest.raises(RepairBudgetExhausted) as err:
+        repair_complete(partial, tiles, 0)
+    assert err.value.budget == 0
+    # the chase on this instance is shorter than one step per datum
+    monkeypatch.setattr(baseline, "REPAIR_BUDGET_PER_DATUM", 1)
+    for seed in range(5):
+        assert verify_mapping(repair_complete(partial, tiles, seed), pair).valid
 
 
 def test_repair_returns_complete_input_unchanged():

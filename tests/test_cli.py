@@ -73,6 +73,30 @@ def test_solve_report_feeds_verify(demo_file, tmp_path, capsys):
     assert json.loads(out)["valid"] is True
 
 
+def one_json_line(out):
+    lines = out.splitlines()
+    assert len(lines) == 1 and out == lines[0] + "\n"
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("solver, seed", [("backtracking", None), ("baseline", 3)])
+def test_solve_prints_report_as_one_json_line(demo_file, demo_problem, capsys, solver, seed):
+    argv = ["--solver", solver] + (["--seed", str(seed)] if seed is not None else [])
+    _, out, _ = run(capsys, "solve", demo_file, *argv)
+    _, expected = solver_report(demo_problem, NetworkObjective.BARREL_SHIFTER, solver, seed)
+    assert one_json_line(out) == expected
+
+
+def test_verify_and_compare_print_one_json_line(demo_file, tmp_path, capsys):
+    _, out, _ = run(capsys, "solve", demo_file)
+    mapping_file = tmp_path / "report.json"
+    mapping_file.write_text(out)
+    _, out, _ = run(capsys, "verify", demo_file, str(mapping_file))
+    assert one_json_line(out)["valid"] is True
+    _, out, _ = run(capsys, "compare", demo_file, "--seed-range", "0:2")
+    assert len(one_json_line(out)["reports"]) == 4
+
+
 def test_solve_trace_and_pretty(demo_file, capsys):
     code, _, err = run(capsys, "solve", demo_file, "--trace", "--pretty")
     assert code == 0

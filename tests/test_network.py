@@ -64,6 +64,44 @@ def test_rotation_offset_inverts_explicit_rotation(case):
         assert rotation_offset(u, shifted) == r
 
 
+def scan_rotation_offset(reference, column):
+    # the former full scan: every rotation, each checked row by row
+    size = len(reference)
+    for r in range(size):
+        if all(column[j] == reference[(j - r) % size] for j in range(size)):
+            return r
+    return None
+
+
+@st.composite
+def rotation_cases(draw):
+    size = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        reference = draw(st.permutations(tuple(range(size))))
+    else:  # few symbols, so banks repeat
+        symbols = draw(st.integers(1, size))
+        reference = draw(st.lists(st.integers(0, symbols - 1), min_size=size, max_size=size))
+    reference = tuple(reference)
+    r = draw(st.integers(0, size - 1))
+    column = [reference[(j - r) % size] for j in range(size)]
+    if draw(st.booleans()):  # corrupt one cell
+        column[draw(st.integers(0, size - 1))] = draw(st.integers(0, size - 1))
+    return reference, tuple(column)
+
+
+@given(rotation_cases())
+def test_rotation_offset_matches_full_scan(case):
+    reference, column = case
+    assert rotation_offset(reference, column) == scan_rotation_offset(reference, column)
+
+
+def test_rotation_offset_repeated_banks_give_smallest():
+    assert rotation_offset((0, 1, 0, 1), (1, 0, 1, 0)) == 1
+    assert rotation_offset((2, 2, 2), (2, 2, 2)) == 0
+    assert rotation_offset((0, 0, 1), (0, 1, 0)) == 2
+    assert rotation_offset((0, 0, 1), (1, 1, 0)) is None
+
+
 def test_known_mapping_is_barrel_compatible(demo_pair):
     assert objective_compatible(KNOWN_MAPPING, demo_pair, BARREL)
     assert objective_compatible(KNOWN_MAPPING, demo_pair, CROSSBAR)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,23 +8,28 @@ from hypothesis import strategies as st
 from bankmap import (
     ControlMismatch,
     ControlSchedule,
+    FillRule,
     IncompleteMapping,
     InstanceTooLarge,
+    LayoutConventions,
     NetworkObjective,
     Order,
     ProblemSpec,
     SchedulePair,
     SolveOptions,
     Status,
+    baseline_solve,
     brute_force_solve,
     derive_controls,
     instance_key,
+    objective_compatible,
     satisfies_partition_definition,
     simulate,
     solve,
     validate_permutation,
     verify_mapping,
 )
+from bankmap.verify import Conflict
 from conftest import CROSSBAR_ONLY_MAPPING, KNOWN_MAPPING
 from helpers import problems, random_problem, size_parallelism_pairs
 
@@ -152,3 +158,48 @@ def test_verifier_codepaths_agree(spec, seed):
     rng = random.Random(seed)
     mapping = tuple(rng.randrange(spec.parallelism) for _ in range(spec.size))
     assert verify_mapping(mapping, pair).valid == satisfies_partition_definition(mapping, pair)
+
+
+def reference_verify(bank_of, schedules, objectives):
+    # the former check: a per-bank dict and its pairs for every column
+    conflicts = []
+    for order in Order:
+        for t, column in enumerate(schedules.of(order).columns):
+            per_bank = {}
+            for datum in column:
+                per_bank.setdefault(bank_of[datum], []).append(datum)
+            for bank, data in sorted(per_bank.items()):
+                for pair in itertools.combinations(data, 2):
+                    conflicts.append(Conflict(order, t, bank, pair))
+    contents = [[] for _ in range(schedules.rows)]
+    for column in schedules.natural.columns:
+        for datum in column:
+            contents[bank_of[datum]].append(datum)
+    met = {obj: objective_compatible(bank_of, schedules, obj) for obj in objectives}
+    return not conflicts, tuple(conflicts), tuple(tuple(bank) for bank in contents), met
+
+
+@given(
+    problems(max_size=48, parallelisms=tuple(range(1, 9))),
+    st.sampled_from(list(FillRule)),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(list(Order)), max_size=4),
+)
+def test_column_check_matches_per_bank_reference(spec, fill, seed, collisions):
+    spec = ProblemSpec(spec.permutation, spec.parallelism, LayoutConventions(interleaved_fill=fill))
+    pair = SchedulePair.from_problem(spec)
+    rng = random.Random(seed)
+    mapping = list(baseline_solve(spec, seed))
+    for order in collisions:  # copy one datum's bank onto another of its column
+        column = rng.choice(pair.of(order).columns)
+        if len(column) > 1:
+            a, b = rng.sample(column, 2)
+            mapping[a] = mapping[b]
+    objectives = list(NetworkObjective)
+    report = verify_mapping(mapping, pair, objectives)
+    expected = reference_verify(mapping, pair, objectives)
+    assert (report.valid, report.conflicts, report.bank_contents, report.objective_met) == expected
+    if not collisions:
+        assert report.valid
+    elif spec.parallelism > 1 and len(collisions) == 1:
+        assert not report.valid
