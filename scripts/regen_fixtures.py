@@ -36,14 +36,13 @@ from bankmap import (
     brute_force_solve,
     build_tiles,
     greedy_fill,
-    instance_key,
     solve,
     validate_permutation,
 )
 
 TESTS = pathlib.Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS))
-from helpers import canonical_digest, outcome_digest, solver_report  # noqa: E402
+from helpers import canonical_digest, instance_key, outcome_digest, solver_report  # noqa: E402
 
 OUT = TESTS / "fixtures" / "pinned.json"
 GOLDEN_OUT = TESTS / "fixtures" / "golden_traces.json"

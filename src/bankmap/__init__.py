@@ -68,7 +68,6 @@ from .verify import (
     Conflict,
     VerificationReport,
     brute_force_solve,
-    instance_key,
     satisfies_partition_definition,
     simulate,
     verify_mapping,

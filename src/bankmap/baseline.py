@@ -22,8 +22,7 @@ the column and the tile), and exactly one mate is ever evicted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import RepairBudgetExhausted
 from .schedule import Order, ProblemSpec, SchedulePair
@@ -32,23 +31,25 @@ from .schedule import Order, ProblemSpec, SchedulePair
 REPAIR_BUDGET_PER_DATUM = 1000
 
 
-@dataclass(frozen=True)
-class TileMatrix:
+class TileMatrix(NamedTuple):
     """Tile ids over the natural layout: tile(p, t) = interleaved cycle of
-    the datum at natural cell (p, t)."""
+    the datum at natural cell (p, t). The passes read the tiles through
+    schedules.column_of; the matrix itself is derived on request."""
 
     schedules: SchedulePair
-    tiles: tuple
 
     @property
     def rows(self) -> int:
-        return len(self.tiles)
+        return self.schedules.rows
+
+    @property
+    def tiles(self) -> tuple:
+        tile_of = self.schedules.column_of[Order.INTERLEAVED]
+        return tuple(tuple(tile_of[d] for d in row) for row in self.schedules.natural.cells)
 
 
 def build_tiles(schedules: SchedulePair) -> TileMatrix:
-    tile_of = schedules.column_of[Order.INTERLEAVED]
-    tiles = tuple(tuple(tile_of[d] for d in row) for row in schedules.natural.cells)
-    return TileMatrix(schedules, tiles)
+    return TileMatrix(schedules)
 
 
 def satisfies_tile_constraints(banks: Sequence[Optional[int]], tiles: TileMatrix) -> bool:

@@ -20,9 +20,9 @@ exhausted, 4 verification found collisions.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from itertools import chain
 from typing import Optional
 
 from . import __version__
@@ -36,6 +36,7 @@ from .schedule import (
     Order,
     ProblemSpec,
     SchedulePair,
+    all_indices,
     is_int,
     validate_permutation,
 )
@@ -139,17 +140,23 @@ def parse_mapping(doc: dict, schedules: SchedulePair) -> tuple:
         raise InputFormatError(
             "banks", f"expected {schedules.rows} banks, got {len(banks)}"
         )
-    bank_of: list = [None] * schedules.size
+    size = schedules.size
+    ids = list(chain.from_iterable(banks))
+    if not (all_indices(ids, size) and len(set(ids)) == len(ids)):
+        # name the first bad id in document order
+        seen = set()
+        for datum in ids:
+            if not is_int(datum) or not 0 <= datum < size:
+                raise InputFormatError("banks", f"data id {datum!r} out of range")
+            if datum in seen:
+                raise InputFormatError("banks", f"data id {datum} listed twice")
+            seen.add(datum)
+    bank_of: list = [None] * size
     for b, group in enumerate(banks):
         for datum in group:
-            if not is_int(datum) or not 0 <= datum < schedules.size:
-                raise InputFormatError("banks", f"data id {datum!r} out of range")
-            if bank_of[datum] is not None:
-                raise InputFormatError("banks", f"data id {datum} listed twice")
             bank_of[datum] = b
-    missing = [d for d in range(schedules.size) if bank_of[d] is None]
-    if missing:
-        raise IncompleteMapping(missing)
+    if len(ids) < size:  # the ids are distinct and in range
+        raise IncompleteMapping([d for d in range(size) if bank_of[d] is None])
     return tuple(bank_of)
 
 
@@ -257,7 +264,7 @@ def _run_solver(args, spec: ProblemSpec, schedules: SchedulePair, objective: Net
         trace=args.trace,
     )
     outcome = solve(spec, objective, options)
-    stats = dataclasses.asdict(outcome.stats)
+    stats = outcome.stats.to_json()
     return "backtracking", outcome.status, outcome.mapping, stats, outcome.trace
 
 
@@ -312,7 +319,7 @@ def cmd_compare(args) -> int:
     runs = []
     solver_report = build_report(
         spec, objective, "backtracking", outcome.status, outcome.mapping, schedules,
-        dataclasses.asdict(outcome.stats),
+        outcome.stats.to_json(),
     )
     runs.append(solver_report)
     if args.seed_range:

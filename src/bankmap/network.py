@@ -17,8 +17,7 @@ per-cell candidate filter used by the solver) and derive_controls.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ObjectiveIncompatible
 from .schedule import AccessSchedule, ColumnRef, Order, SchedulePair
@@ -99,8 +98,7 @@ def admissible_banks(
     return [b for b in range(state.rows) if free >> b & 1]
 
 
-@dataclass(frozen=True)
-class ControlSchedule:
+class ControlSchedule(NamedTuple):
     """Per-cycle network control words for both access orders.
 
     For a barrel shifter a word is a rotation offset in [0, X); for a

@@ -14,7 +14,6 @@ index; the row-by-row view is derived for display only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .errors import DuplicateEntry, EmptyInput, NonDivisorParallelism, NotAnInteger, OutOfRange
@@ -45,8 +44,30 @@ class FillRule(enum.Enum):
     COLUMN_MAJOR_SEQUENCE = "column-major-sequence"  # cycle t owns seq[t*X : (t+1)*X]
 
 
-@dataclass(frozen=True)
-class LayoutConventions:
+class Record:
+    """Base of the package's plain classes: a Name(field=value, ...) repr,
+    and equality and hashing over the fields named in _fields. Attributes
+    stay ordinary instance attributes, the cheapest to read on hot paths."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class LayoutConventions(NamedTuple):
     """Fill rules for the two matrices.
 
     The defaults give each processing element a contiguous sub-block in
@@ -59,8 +80,7 @@ class LayoutConventions:
     interleaved_fill: FillRule = FillRule.COLUMN_MAJOR_SEQUENCE
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple):
     """A bijection on {0, ..., L-1}; construct via validate_permutation."""
 
     entries: tuple[int, ...]
@@ -75,6 +95,17 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def all_indices(values: Sequence, bound: int) -> bool:
+    """Whether every value is an int (not a bool) in [0, bound).
+
+    Runs at C speed; an int subclass other than bool fails it, so a caller
+    that accepts those re-checks a failure with is_int.
+    """
+    return not values or (
+        {*map(type, values)} == {int} and min(values) >= 0 and max(values) < bound
+    )
+
+
 def validate_permutation(entries: Sequence[int]) -> Permutation:
     """Check that entries form a bijection on {0, ..., L-1} and wrap them.
 
@@ -85,10 +116,13 @@ def validate_permutation(entries: Sequence[int]) -> Permutation:
     values = tuple(entries)
     if not values:
         raise EmptyInput()
+    length = len(values)
+    if all_indices(values, length) and len(set(values)) == length:
+        return Permutation(values)
+    # name the first offending entry
     for v in values:
         if not is_int(v):
             raise NotAnInteger("permutation entry", v)
-    length = len(values)
     seen = set()
     for v in values:
         if not 0 <= v < length:
@@ -99,24 +133,29 @@ def validate_permutation(entries: Sequence[int]) -> Permutation:
     return Permutation(values)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """A validated instance: the permutation plus the parallelism degree.
 
     The designer supplies X (the number of processing elements and of
     memory banks); the cycle count N = L / X is derived.
     """
 
-    permutation: Permutation
-    parallelism: int
-    conventions: LayoutConventions = LayoutConventions()
+    _fields = ("permutation", "parallelism", "conventions")
 
-    def __post_init__(self) -> None:
-        length = self.permutation.size
-        if not is_int(self.parallelism):
-            raise NotAnInteger("parallelism", self.parallelism)
-        if self.parallelism < 1 or length % self.parallelism != 0:
-            raise NonDivisorParallelism(self.parallelism, length)
+    def __init__(
+        self,
+        permutation: Permutation,
+        parallelism: int,
+        conventions: LayoutConventions = LayoutConventions(),
+    ) -> None:
+        length = permutation.size
+        if not is_int(parallelism):
+            raise NotAnInteger("parallelism", parallelism)
+        if parallelism < 1 or length % parallelism != 0:
+            raise NonDivisorParallelism(parallelism, length)
+        self.permutation = permutation
+        self.parallelism = parallelism
+        self.conventions = conventions
 
     @property
     def size(self) -> int:
@@ -127,13 +166,15 @@ class ProblemSpec:
         return self.size // self.parallelism
 
 
-@dataclass(frozen=True)
-class AccessSchedule:
+class AccessSchedule(Record):
     """One X-by-N matrix of data indices for one access order, by column:
     columns[t][p] is the datum PE row p accesses at cycle t."""
 
-    order: Order
-    columns: tuple[tuple[int, ...], ...]
+    _fields = ("order", "columns")
+
+    def __init__(self, order: Order, columns: tuple[tuple[int, ...], ...]) -> None:
+        self.order = order
+        self.columns = columns
 
     @property
     def rows(self) -> int:
@@ -148,22 +189,21 @@ class AccessSchedule:
         """Row view, cells[p][t]; built on every read, so for display only."""
         return tuple(zip(*self.columns))
 
-    def column(self, t: int) -> tuple[int, ...]:
-        """The set of data accessed concurrently at cycle t, by PE row."""
-        return self.columns[t]
-
 
 def _layout(seq: Sequence[int], rows: int, cycles: int, rule: FillRule) -> tuple:
     if rule is FillRule.ROW_MAJOR_BLOCKS:
-        return tuple(tuple(seq[p * cycles + t] for p in range(rows)) for t in range(cycles))
-    return tuple(tuple(seq[t * rows:(t + 1) * rows]) for t in range(cycles))
+        return tuple(zip(*[seq[p * cycles:(p + 1) * cycles] for p in range(rows)]))
+    return tuple(zip(*[iter(seq)] * rows))
 
 
 def build_schedules(spec: ProblemSpec) -> tuple[AccessSchedule, AccessSchedule]:
     """Construct the (natural, interleaved) access matrices for a problem.
 
-    Under the default conventions the natural matrix holds cell(p, t) =
-    p*N + t and the interleaved matrix holds cell(p, t) = perm[t*X + p].
+    The natural sequence is 0, ..., L-1 and the interleaved one is the
+    permutation. A row-major-blocks fill puts seq[p*N + t] at cell(p, t)
+    and a column-major-sequence fill puts seq[t*X + p] there, so under
+    the default conventions the natural matrix holds cell(p, t) = p*N + t
+    and the interleaved matrix holds cell(p, t) = perm[t*X + p].
     """
     rows, cycles = spec.parallelism, spec.cycles
     natural = AccessSchedule(
@@ -184,32 +224,27 @@ class ColumnRef(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class SchedulePair:
+class SchedulePair(Record):
     """Both schedules of one problem plus, per order, the column index of
     every datum: column_of[order][datum]. rows (X), cycles (N) and size
-    (L) are plain attributes, read on the solver's hot paths."""
+    (L) are plain attributes, read on the solver's hot paths; equality
+    and the repr cover the two schedules only."""
 
-    natural: AccessSchedule
-    interleaved: AccessSchedule
-    column_of: dict = field(init=False, repr=False, compare=False)
-    rows: int = field(init=False, repr=False, compare=False)
-    cycles: int = field(init=False, repr=False, compare=False)
-    size: int = field(init=False, repr=False, compare=False)
+    _fields = ("natural", "interleaved")
 
-    def __post_init__(self) -> None:
-        rows, cycles = self.natural.rows, self.natural.cycles
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "size", rows * cycles)
-        tables = {}
-        for sched in (self.natural, self.interleaved):
-            table = [0] * self.size
+    def __init__(self, natural: AccessSchedule, interleaved: AccessSchedule) -> None:
+        self.natural = natural
+        self.interleaved = interleaved
+        self.rows = natural.rows
+        self.cycles = natural.cycles
+        self.size = size = self.rows * self.cycles
+        self.column_of = {}
+        for sched in (natural, interleaved):
+            table = [0] * size
             for t, column in enumerate(sched.columns):
                 for datum in column:
                     table[datum] = t
-            tables[sched.order] = tuple(table)
-        object.__setattr__(self, "column_of", tables)
+            self.column_of[sched.order] = tuple(table)
 
     @classmethod
     def from_problem(cls, spec: ProblemSpec) -> "SchedulePair":
@@ -217,8 +252,3 @@ class SchedulePair:
 
     def of(self, order: Order) -> AccessSchedule:
         return self.natural if order is Order.NATURAL else self.interleaved
-
-    def position(self, order: Order, datum: int) -> tuple[int, int]:
-        """(row, column) of a datum in the given order's matrix."""
-        t = self.column_of[order][datum]
-        return self.of(order).columns[t].index(datum), t

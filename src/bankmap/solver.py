@@ -39,16 +39,14 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvariantViolation
 from .network import NetworkObjective, admissible_banks, objective_compatible
-from .schedule import ColumnRef, Order, ProblemSpec, SchedulePair
+from .schedule import ColumnRef, Order, ProblemSpec, Record, SchedulePair
 
 
-@dataclass
-class MappingState:
+class MappingState(Record):
     """The datum -> bank table plus a used-bank bitmask per column.
 
     used[order][t] has bit b set when bank b is mapped to a datum of that
@@ -58,16 +56,22 @@ class MappingState:
     construction.
 
     Two derived caches sit beside the logical state and take no part in
-    equality. counts[order][t] is the column's completion_count, or None
-    once a change may have moved it. memo maps the sorted free-bank masks
-    of a column's empty cells to their count.
+    equality or the repr. counts[order][t] is the column's
+    completion_count, or None once a change may have moved it. memo maps
+    the sorted free-bank masks of a column's empty cells to their count.
     """
 
-    schedules: SchedulePair
-    bank_of: list
-    used: dict
-    counts: dict = field(compare=False, repr=False)
-    memo: dict = field(compare=False, repr=False)
+    _fields = ("schedules", "bank_of", "used")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self, schedules: SchedulePair, bank_of: list, used: dict, counts: dict, memo: dict
+    ) -> None:
+        self.schedules = schedules
+        self.bank_of = bank_of
+        self.used = used
+        self.counts = counts
+        self.memo = memo
 
     @classmethod
     def fresh(cls, schedules: SchedulePair) -> "MappingState":
@@ -82,10 +86,6 @@ class MappingState:
     @property
     def cycles(self) -> int:
         return self.schedules.cycles
-
-    def grid(self, order: Order) -> list:
-        """The order's X-by-N matrix of mapped banks, None where unmapped."""
-        return [[self.bank_of[d] for d in row] for row in self.schedules.of(order).cells]
 
     def column(self, order: Order, index: int) -> list:
         """Mapped bank of each row's datum in one column, None where unmapped."""
@@ -251,17 +251,21 @@ def select_target_column(state: MappingState) -> Optional[ColumnRef]:
     return best
 
 
-@dataclass
-class CandidateSet:
+class CandidateSet(Record):
     """Ordered whole-column assignments for the empty cells of one column.
 
-    Tuples follow the lexicographic order of the per-cell candidate lists
-    (first cell most significant) and skip any tuple that repeats a bank.
+    cells holds the (row, datum) pairs by ascending row and bank_lists the
+    candidate banks of each cell in preference order. Iterating generates
+    tuples in the lexicographic order of those lists (first cell most
+    significant) and skips any tuple that repeats a bank.
     """
 
-    column: ColumnRef
-    cells: tuple  # (row, datum) pairs, ascending row
-    bank_lists: tuple  # candidate banks per cell, preference order
+    _fields = ("column", "cells", "bank_lists")
+
+    def __init__(self, column: ColumnRef, cells: tuple, bank_lists: tuple) -> None:
+        self.column = column
+        self.cells = cells
+        self.bank_lists = bank_lists
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         def walk(i: int, used: int, prefix: tuple) -> Iterator[tuple[int, ...]]:
@@ -275,9 +279,6 @@ class CandidateSet:
                 yield from walk(i + 1, used | bit, prefix + (bank,))
 
         return walk(0, 0, ())
-
-    def first(self) -> Optional[tuple[int, ...]]:
-        return next(iter(self), None)
 
 
 def candidate_assignments(
@@ -332,11 +333,20 @@ class Status(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass
-class SolveStats:
-    nodes: int = 0  # column assignments applied
-    backtracks: int = 0  # column assignments undone
-    max_depth: int = 0
+class SolveStats(Record):
+    """Search counters: column assignments applied (nodes) and undone
+    (backtracks), and the deepest frame stack reached."""
+
+    _fields = ("nodes", "backtracks", "max_depth")
+    __hash__ = None  # mutable
+
+    def __init__(self, nodes: int = 0, backtracks: int = 0, max_depth: int = 0) -> None:
+        self.nodes = nodes
+        self.backtracks = backtracks
+        self.max_depth = max_depth
+
+    def to_json(self) -> dict:
+        return {"nodes": self.nodes, "backtracks": self.backtracks, "max_depth": self.max_depth}
 
 
 class TraceEvent(NamedTuple):
@@ -347,15 +357,13 @@ class TraceEvent(NamedTuple):
     banks: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(NamedTuple):
     strict_objective: bool = False
     max_nodes: Optional[int] = None
     trace: bool = False
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: Status
     mapping: Optional[tuple]
     objective_met: bool
@@ -367,11 +375,14 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@dataclass
-class _Frame:
-    column: ColumnRef
-    tuples: Iterator
-    applied: Optional[tuple] = None
+class _Frame(Record):
+    _fields = ("column", "tuples", "applied")
+    __hash__ = None  # mutable
+
+    def __init__(self, column: ColumnRef, tuples: Iterator, applied: Optional[tuple] = None):
+        self.column = column
+        self.tuples = tuples
+        self.applied = applied
 
 
 def _advance(frames, state, stats, max_nodes, trace) -> bool:
@@ -417,6 +428,7 @@ def _run_pass(
 ) -> Optional[tuple]:
     state = initialize(MappingState.fresh(schedules))
     frames: list[_Frame] = []
+    max_nodes = options.max_nodes
     while True:
         column = select_target_column(state)
         if column is None:
@@ -425,7 +437,7 @@ def _run_pass(
             # assignment is re-checked and the search goes on after a miss.
             if objective_compatible(mapping, schedules, objective):
                 return mapping
-            if not _backtrack(frames, state, stats, options.max_nodes, trace):
+            if not _backtrack(frames, state, stats, max_nodes, trace):
                 return None
             continue
         if trace is not None:
@@ -433,9 +445,9 @@ def _run_pass(
             trace.append(TraceEvent("select", column.order, column.index, data, None))
         candidates = candidate_assignments(state, column, objective)
         frames.append(_Frame(column, iter(candidates)))
-        if not _advance(frames, state, stats, options.max_nodes, trace):
+        if not _advance(frames, state, stats, max_nodes, trace):
             frames.pop()
-            if not _backtrack(frames, state, stats, options.max_nodes, trace):
+            if not _backtrack(frames, state, stats, max_nodes, trace):
                 return None
 
 

@@ -11,11 +11,8 @@ column-permutation.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ControlMismatch, IncompleteMapping, InstanceTooLarge
 from .network import (
@@ -32,16 +29,14 @@ ORACLE_MAX_SIZE = 16
 ORACLE_MAX_PARALLELISM = 4
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     order: Order
     cycle: int
     bank: int
     data: tuple  # the colliding pair
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     conflicts: tuple
     bank_contents: tuple  # per bank, data in natural (cycle, row) order
@@ -123,8 +118,7 @@ def satisfies_partition_definition(bank_of: Sequence[int], schedules: SchedulePa
     return True
 
 
-@dataclass(frozen=True)
-class AccessTrace:
+class AccessTrace(NamedTuple):
     """Cycle-by-cycle (pe, datum, bank) triples per access order."""
 
     steps: dict
@@ -212,23 +206,3 @@ def brute_force_solve(
 
     place(0)
     return results
-
-
-def instance_key(
-    permutation: Sequence[int],
-    parallelism: int,
-    objective: NetworkObjective,
-    fix_first_column: bool,
-) -> str:
-    """Stable hash naming one oracle query in the pinned fixtures file."""
-    blob = json.dumps(
-        {
-            "permutation": list(permutation),
-            "parallelism": parallelism,
-            "objective": objective.value,
-            "fix_first_column": fix_first_column,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -1,6 +1,5 @@
 """Shared generators and comparison helpers for the test suite."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,6 +7,7 @@ import json
 from hypothesis import strategies as st
 
 from bankmap import (
+    BankMapError,
     ProblemSpec,
     SchedulePair,
     SolveOptions,
@@ -65,7 +65,7 @@ def outcome_digest(outcome):
         "status": outcome.status.value,
         "mapping": outcome.mapping,
         "objective_met": outcome.objective_met,
-        "stats": dataclasses.asdict(outcome.stats),
+        "stats": outcome.stats.to_json(),
         "trace": [
             [e.kind, e.order.value if e.order else None, e.column, e.data, e.banks]
             for e in outcome.trace or ()
@@ -78,6 +78,43 @@ def canonical_digest(doc):
     """sha256 of a JSON-encodable value in canonical form."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def instance_key(permutation, parallelism, objective, fix_first_column):
+    """Stable hash naming one oracle query in the pinned fixtures file."""
+    blob = json.dumps(
+        {
+            "permutation": list(permutation),
+            "parallelism": parallelism,
+            "objective": objective.value,
+            "fix_first_column": fix_first_column,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def position(pair, order, datum):
+    """(row, column) of a datum in the given order's matrix."""
+    t = pair.column_of[order][datum]
+    return pair.of(order).columns[t].index(datum), t
+
+
+def schedule_column(schedule, t):
+    """The data one schedule accesses concurrently at cycle t, by PE row."""
+    return schedule.columns[t]
+
+
+def bank_grid(state, order):
+    """A MappingState's X-by-N matrix of mapped banks for one order,
+    None where unmapped."""
+    return [[state.bank_of[d] for d in row] for row in state.schedules.of(order).cells]
+
+
+def first_candidate(candidates):
+    """The first tuple of a CandidateSet, or None when it is empty."""
+    return next(iter(candidates), None)
 
 
 def solver_report(spec, objective, solver, seed=None, max_nodes=None):
@@ -96,6 +133,33 @@ def solver_report(spec, objective, solver, seed=None, max_nodes=None):
     outcome = solve(spec, objective, SolveOptions(max_nodes=max_nodes))
     report = build_report(
         spec, objective, solver, outcome.status, outcome.mapping, schedules,
-        dataclasses.asdict(outcome.stats),
+        outcome.stats.to_json(),
     )
     return outcome.mapping, report
+
+
+@st.composite
+def damaged_ids(draw, length):
+    """range(length) shuffled, then up to four entries overwritten at random
+    positions with a non-integer, a bool, an out-of-range id or a copy of
+    another entry."""
+    ids = list(draw(st.permutations(tuple(range(length)))))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, length - 1))
+        ids[at] = draw(st.one_of(
+            st.sampled_from(("7", 1.0, None, 2.5, [0])),
+            st.booleans(),
+            st.integers(length, 2 * length),
+            st.integers(-length, -1),
+            st.sampled_from(ids),
+        ))
+    return ids
+
+
+def outcome_of(call, *args):
+    """("ok", value) of a call, or the class and message of the
+    BankMapError it raises."""
+    try:
+        return "ok", call(*args)
+    except BankMapError as exc:
+        return type(exc), str(exc)

@@ -42,7 +42,13 @@ from conftest import (
     DEMO_TILES,
     KNOWN_MAPPING,
 )
-from helpers import random_problem, relabel_equal, size_parallelism_pairs
+from helpers import (
+    first_candidate,
+    random_problem,
+    relabel_equal,
+    schedule_column,
+    size_parallelism_pairs,
+)
 
 BARREL = NetworkObjective.BARREL_SHIFTER
 CROSSBAR = NetworkObjective.CROSSBAR
@@ -88,8 +94,8 @@ def test_criterion_3_known_solution_accepted():
     rep = verify_mapping(KNOWN_MAPPING, pair, objectives=[BARREL])
     per_order_rotations = all(
         rotation_offset(
-            tuple(KNOWN_MAPPING[d] for d in pair.of(order).column(0)),
-            tuple(KNOWN_MAPPING[d] for d in pair.of(order).column(t)),
+            tuple(KNOWN_MAPPING[d] for d in schedule_column(pair.of(order), 0)),
+            tuple(KNOWN_MAPPING[d] for d in schedule_column(pair.of(order), t)),
         )
         is not None
         for order in Order
@@ -115,7 +121,7 @@ def test_criterion_4_solver_reproduction():
     state = initialize(MappingState.fresh(SchedulePair.from_problem(spec)))
     assign_column(state, ColumnRef(Order.INTERLEAVED, 3), (0,))
     cands = candidate_assignments(state, ColumnRef(Order.NATURAL, 2), BARREL)
-    forced = cands.cells == ((0, 2), (2, 10)) and cands.first() == (2, 1)
+    forced = cands.cells == ((0, 2), (2, 10)) and first_candidate(cands) == (2, 1)
 
     elapsed = best_of(3, lambda: solve(spec, BARREL))
     ok = solved and matches and picks_forced_column and forced and elapsed < 10e-3

@@ -22,7 +22,7 @@ from bankmap import (
 from bankmap import baseline
 from bankmap.baseline import REPAIR_BUDGET_PER_DATUM, satisfies_tile_constraints
 from conftest import CROSSBAR_ONLY_MAPPING, DEMO_TILES
-from helpers import problems, random_problem, size_parallelism_pairs
+from helpers import position, problems, random_problem, size_parallelism_pairs
 
 
 def independent_mates(pair):
@@ -33,7 +33,7 @@ def independent_mates(pair):
             if a == b:
                 continue
             for order in Order:
-                if pair.position(order, a)[1] == pair.position(order, b)[1]:
+                if position(pair, order, a)[1] == position(pair, order, b)[1]:
                     mates[a].add(b)
     return mates
 
@@ -140,7 +140,7 @@ def test_shared_tile_means_shared_interleaved_column(spec):
     for p in range(pair.rows):
         for t in range(pair.cycles):
             datum = natural.cells[p][t]
-            assert tiles.tiles[p][t] == pair.position(Order.INTERLEAVED, datum)[1]
+            assert tiles.tiles[p][t] == position(pair, Order.INTERLEAVED, datum)[1]
 
 
 def test_greedy_single_pe_fills_everything():

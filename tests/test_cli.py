@@ -1,19 +1,27 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bankmap.cli as cli
 from bankmap import (
     FillRule,
+    IncompleteMapping,
     InputFormatError,
     LayoutConventions,
     NetworkObjective,
     ProblemSpec,
+    SchedulePair,
     validate_permutation,
 )
 from bankmap.cli import main
 from conftest import CROSSBAR_ONLY_MAPPING, DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
-from helpers import canonical_digest, solver_report
+from helpers import canonical_digest, damaged_ids, outcome_of, solver_report
 
 
 def write_json(path, doc):
@@ -344,3 +352,49 @@ def test_golden_reports_reproduce():
         assert report["status"] == entry["status"], where
         assert canonical_digest(mapping) == entry["mapping_digest"], where
         assert canonical_digest(report) == entry["report_digest"], where
+
+
+def test_import_leaves_out_dataclasses_inspect_and_hashlib():
+    # the modules bankmap.cli itself pulls in, whatever the site set-up loads
+    code = (
+        "import sys; before = set(sys.modules); import bankmap.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def reference_parse_ids(banks, size):
+    # the id-by-id loop parse_mapping ran before its C-level pre-check; it
+    # decides which id an error names
+    bank_of = [None] * size
+    for b, group in enumerate(banks):
+        for datum in group:
+            if not (isinstance(datum, int) and not isinstance(datum, bool)) \
+                    or not 0 <= datum < size:
+                raise InputFormatError("banks", f"data id {datum!r} out of range")
+            if bank_of[datum] is not None:
+                raise InputFormatError("banks", f"data id {datum} listed twice")
+            bank_of[datum] = b
+    missing = [d for d in range(size) if bank_of[d] is None]
+    if missing:
+        raise IncompleteMapping(missing)
+    return tuple(bank_of)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_parse_mapping_names_the_id_the_loop_names(x, cycles, data):
+    size = x * cycles
+    spec = ProblemSpec(validate_permutation(range(size)), x)
+    schedules = SchedulePair.from_problem(spec)
+    ids = data.draw(damaged_ids(size))
+    if data.draw(st.booleans()):
+        del ids[data.draw(st.integers(0, size - 1))]  # one id short
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(ids)), min_size=x - 1, max_size=x - 1)))
+    banks = [ids[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(ids)])]
+    expected = outcome_of(reference_parse_ids, banks, size)
+    assert outcome_of(cli.parse_mapping, {"banks": banks}, schedules) == expected

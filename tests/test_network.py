@@ -26,7 +26,7 @@ from bankmap import (
 )
 from bankmap.network import admissible_banks
 from conftest import CROSSBAR_ONLY_MAPPING, KNOWN_MAPPING
-from helpers import problems
+from helpers import bank_grid, position, problems
 
 BARREL = NetworkObjective.BARREL_SHIFTER
 CROSSBAR = NetworkObjective.CROSSBAR
@@ -133,7 +133,7 @@ def test_admissible_banks_dead_rotation_column(demo_pair):
     state = initialize(MappingState.fresh(demo_pair))
     assign_column(state, ColumnRef(Order.INTERLEAVED, 0), (0, 1, 2))
     column = ColumnRef(Order.NATURAL, 1)
-    grid = state.grid(Order.NATURAL)
+    grid = bank_grid(state, Order.NATURAL)
     assert (grid[0][1], grid[2][1]) == (0, 1)
     assert admissible_banks(state, column, 1, BARREL) == []
     assert admissible_banks(state, column, 1, CROSSBAR) == [2]
@@ -232,7 +232,7 @@ def test_partition_admissible_matches_per_bank_reference(fill):
         data = [d for d in range(spec.size) if state.bank_of[d] is None]
         rng.shuffle(data)
         for datum in data[:rng.randrange(len(data) + 1)]:
-            row, t = pair.position(Order.NATURAL, datum)
+            row, t = position(pair, Order.NATURAL, datum)
             friendly, rest = reference_partition(state, ColumnRef(Order.NATURAL, t), row)
             choices = friendly if friendly and rng.random() < 0.7 else friendly + rest
             if choices:

@@ -9,15 +9,17 @@ from bankmap import (
     FillRule,
     LayoutConventions,
     NonDivisorParallelism,
+    NotAnInteger,
     Order,
     OutOfRange,
+    Permutation,
     ProblemSpec,
     SchedulePair,
     build_schedules,
     validate_permutation,
 )
 from conftest import DEMO_INTERLEAVED, DEMO_NATURAL, DEMO_PERMUTATION
-from helpers import problems
+from helpers import damaged_ids, outcome_of, position, problems, schedule_column
 
 
 def test_demo_permutation_is_valid():
@@ -106,7 +108,7 @@ def test_datum_positions_are_well_defined(spec):
     pair = SchedulePair.from_problem(spec)
     for datum in range(spec.size):
         for order in Order:
-            p, t = pair.position(order, datum)
+            p, t = position(pair, order, datum)
             assert pair.of(order).cells[p][t] == datum
 
 
@@ -123,9 +125,9 @@ def test_columns_are_the_stored_view(spec, natural_fill, interleaved_fill):
         cells = sched.cells
         for t in range(spec.cycles):
             rows = tuple(cells[p][t] for p in range(spec.parallelism))
-            assert sched.columns[t] == sched.column(t) == rows
+            assert sched.columns[t] == schedule_column(sched, t) == rows
         for datum in range(spec.size):
-            assert pair.column_of[order][datum] == pair.position(order, datum)[1]
+            assert pair.column_of[order][datum] == position(pair, order, datum)[1]
 
 
 @pytest.mark.parametrize("entries", [["1", "0", 2.9], [True, False], [0, 1.0], [None], [5, "a"]])
@@ -142,3 +144,71 @@ def test_non_integer_parallelism_rejected(parallelism):
     with pytest.raises(BankMapError) as err:
         ProblemSpec(perm, parallelism)
     assert repr(parallelism) in str(err.value)
+
+
+@st.composite
+def layouts(draw):
+    """A random permutation under a random pair of fill rules, with X from
+    {1, 2, 3, L}."""
+    cycles = draw(st.integers(1, 12))
+    x = draw(st.sampled_from((1, 2, 3, "L")))
+    if x == "L":
+        x, cycles = cycles, 1
+    entries = draw(st.permutations(tuple(range(x * cycles))))
+    fills = LayoutConventions(draw(st.sampled_from(FillRule)), draw(st.sampled_from(FillRule)))
+    return ProblemSpec(validate_permutation(entries), x, fills)
+
+
+def reference_cell(seq, fill, x, cycles, p, t):
+    # the cell formulas of build_schedules' docstring
+    if fill is FillRule.ROW_MAJOR_BLOCKS:
+        return seq[p * cycles + t]
+    return seq[t * x + p]
+
+
+@given(layouts())
+def test_schedules_follow_the_cell_formulas(spec):
+    x, cycles = spec.parallelism, spec.cycles
+    pair = SchedulePair.from_problem(spec)
+    sequences = {
+        Order.NATURAL: (range(spec.size), spec.conventions.natural_fill),
+        Order.INTERLEAVED: (spec.permutation.entries, spec.conventions.interleaved_fill),
+    }
+    for order, (seq, fill) in sequences.items():
+        columns = tuple(
+            tuple(reference_cell(seq, fill, x, cycles, p, t) for p in range(x))
+            for t in range(cycles)
+        )
+        assert pair.of(order).columns == columns
+        column_of = [None] * spec.size
+        for t, column in enumerate(columns):
+            for datum in column:
+                column_of[datum] = t
+        assert pair.column_of[order] == tuple(column_of)
+    assert (pair.rows, pair.cycles, pair.size) == (x, cycles, spec.size)
+
+
+def reference_validate_permutation(entries):
+    # the entry-by-entry check validate_permutation ran before its C-level
+    # pre-check; it decides which entry an error names
+    values = tuple(entries)
+    if not values:
+        raise EmptyInput()
+    for v in values:
+        if not (isinstance(v, int) and not isinstance(v, bool)):
+            raise NotAnInteger("permutation entry", v)
+    length = len(values)
+    seen = set()
+    for v in values:
+        if not 0 <= v < length:
+            raise OutOfRange(v, length)
+        if v in seen:
+            raise DuplicateEntry(v)
+        seen.add(v)
+    return Permutation(values)
+
+
+@given(st.integers(1, 24).flatmap(damaged_ids))
+def test_validate_permutation_names_the_entry_the_loop_names(entries):
+    expected = outcome_of(reference_validate_permutation, entries)
+    assert outcome_of(validate_permutation, entries) == expected

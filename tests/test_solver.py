@@ -33,7 +33,16 @@ from bankmap import (
 )
 from bankmap.solver import TraceEvent, completion_count
 from conftest import DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
-from helpers import outcome_digest, problems, random_problem, size_parallelism_pairs
+from helpers import (
+    bank_grid,
+    first_candidate,
+    outcome_digest,
+    position,
+    problems,
+    random_problem,
+    schedule_column,
+    size_parallelism_pairs,
+)
 
 BARREL = NetworkObjective.BARREL_SHIFTER
 CROSSBAR = NetworkObjective.CROSSBAR
@@ -46,26 +55,26 @@ def small_pair():
 
 def test_initialize_pins_identity_first_column(demo_pair):
     state = initialize(MappingState.fresh(demo_pair))
-    assert [state.grid(Order.NATURAL)[p][0] for p in range(3)] == [0, 1, 2]
+    assert [bank_grid(state, Order.NATURAL)[p][0] for p in range(3)] == [0, 1, 2]
     # each seeded datum is mirrored into its cell of the permuted matrix
-    assert state.grid(Order.INTERLEAVED)[1][1] == 0  # datum 0
-    assert state.grid(Order.INTERLEAVED)[2][3] == 1  # datum 4
-    assert state.grid(Order.INTERLEAVED)[1][3] == 2  # datum 8
+    assert bank_grid(state, Order.INTERLEAVED)[1][1] == 0  # datum 0
+    assert bank_grid(state, Order.INTERLEAVED)[2][3] == 1  # datum 4
+    assert bank_grid(state, Order.INTERLEAVED)[1][3] == 2  # datum 8
     state.check_invariants()
 
 
 def test_initialize_single_bank():
     spec = ProblemSpec(validate_permutation([1, 0, 2]), 1)
     state = initialize(MappingState.fresh(SchedulePair.from_problem(spec)))
-    assert state.grid(Order.NATURAL)[0][0] == 0
+    assert bank_grid(state, Order.NATURAL)[0][0] == 0
     assert state.bank_of[0] == 0
 
 
 def test_initialize_small_instance_propagation():
     state = initialize(MappingState.fresh(small_pair()))
     assert state.bank_of[0] == 0 and state.bank_of[2] == 1
-    assert state.grid(Order.INTERLEAVED)[0][0] == 0  # datum 0
-    assert state.grid(Order.INTERLEAVED)[0][1] == 1  # datum 2
+    assert bank_grid(state, Order.INTERLEAVED)[0][0] == 0  # datum 0
+    assert bank_grid(state, Order.INTERLEAVED)[0][1] == 1  # datum 2
 
 
 def test_initialize_requires_fresh_state(demo_pair):
@@ -82,7 +91,7 @@ def independent_completion_count(state, column):
     cells = [
         (p, pair.of(column.order).cells[p][column.index])
         for p in range(rows)
-        if state.grid(column.order)[p][column.index] is None
+        if bank_grid(state, column.order)[p][column.index] is None
     ]
     count = 0
     for banks in itertools.product(range(rows), repeat=len(cells)):
@@ -90,9 +99,9 @@ def independent_completion_count(state, column):
             continue
         ok = True
         for (p, datum), bank in zip(cells, banks):
-            used = {state.grid(column.order)[q][column.index] for q in range(rows)}
-            _, other_col = pair.position(column.order.other, datum)
-            used |= {state.grid(column.order.other)[q][other_col] for q in range(rows)}
+            used = {bank_grid(state, column.order)[q][column.index] for q in range(rows)}
+            _, other_col = position(pair, column.order.other, datum)
+            used |= {bank_grid(state, column.order.other)[q][other_col] for q in range(rows)}
             if bank in used:
                 ok = False
                 break
@@ -150,7 +159,7 @@ def test_candidates_objective_ordering_forces_rotation(demo_pair):
     state = fig_state(demo_pair)
     cands = candidate_assignments(state, ColumnRef(Order.NATURAL, 2), BARREL)
     assert cands.cells == ((0, 2), (2, 10))
-    assert cands.first() == (2, 1)
+    assert first_candidate(cands) == (2, 1)
 
 
 def test_candidates_empty_when_cell_blocked():
@@ -159,14 +168,14 @@ def test_candidates_empty_when_cell_blocked():
     state.assign(2, 1)  # interleaved column 1
     cands = candidate_assignments(state, ColumnRef(Order.NATURAL, 1), CROSSBAR)
     assert any(not banks for banks in cands.bank_lists)
-    assert cands.first() is None
+    assert first_candidate(cands) is None
 
 
 def test_assign_mirrors_into_other_matrix(demo_pair):
     state = initialize(MappingState.fresh(demo_pair))
     record = assign_column(state, ColumnRef(Order.INTERLEAVED, 3), (0,))
     assert record == (6,)
-    assert state.grid(Order.NATURAL)[1][2] == 0
+    assert bank_grid(state, Order.NATURAL)[1][2] == 0
     state.check_invariants()
 
 
@@ -271,15 +280,15 @@ def scratch_completion_count(state, column):
     # the count DP over the column's empty cells, read from the bank grids
     # with no cache and no memo
     pair = state.schedules
-    grid = state.grid(column.order)
-    other_grid = state.grid(column.order.other)
+    grid = bank_grid(state, column.order)
+    other_grid = bank_grid(state, column.order.other)
     here = {grid[q][column.index] for q in range(pair.rows)}
     layer = {0: 1}
     for p in range(pair.rows):
         if grid[p][column.index] is not None:
             continue
         datum = pair.of(column.order).cells[p][column.index]
-        _, other_col = pair.position(column.order.other, datum)
+        _, other_col = position(pair, column.order.other, datum)
         taken = here | {other_grid[q][other_col] for q in range(pair.rows)}
         nxt = {}
         for used, count in layer.items():
@@ -340,7 +349,7 @@ def test_cached_selection_matches_from_scratch(fill):
                 # invalidation is exercised from every kind of state
                 column = chosen if rng.random() < 0.5 else rng.choice(open_columns)
                 options = candidate_assignments(state, column, CROSSBAR)
-                first = options.first()
+                first = first_candidate(options)
                 if first is None:
                     if not records:
                         break
@@ -360,18 +369,18 @@ def test_selection_recounts_only_invalidated_columns(fill, monkeypatch):
     state = initialize(MappingState.fresh(pair))
     for _ in range(4):
         column = select_target_column(state)
-        assign_column(state, column, candidate_assignments(state, column, CROSSBAR).first())
+        assign_column(state, column, first_candidate(candidate_assignments(state, column, CROSSBAR)))
     column = select_target_column(state)  # every unfinished count is cached now
-    record = assign_column(state, column, candidate_assignments(state, column, CROSSBAR).first())
+    record = assign_column(state, column, first_candidate(candidate_assignments(state, column, CROSSBAR)))
 
     # the rule: each assigned datum's two columns, plus every column of the
     # other order that holds a still-unmapped datum of one of those columns
-    changed = {ColumnRef(order, pair.position(order, d)[1]) for d in record for order in Order}
+    changed = {ColumnRef(order, position(pair, order, d)[1]) for d in record for order in Order}
     named = set(changed)
     for order, t in changed:
-        for d in pair.of(order).column(t):
+        for d in schedule_column(pair.of(order), t):
             if state.bank_of[d] is None:
-                named.add(ColumnRef(order.other, pair.position(order.other, d)[1]))
+                named.add(ColumnRef(order.other, position(pair, order.other, d)[1]))
     expected = named & set(unfinished_columns(state))
     assert len(expected) < len(unfinished_columns(state))
 
@@ -404,7 +413,7 @@ def test_solve_small_identity_instance():
         if (banks[0], banks[2]) != (0, 1):
             continue
         ok = all(
-            len({banks[d] for d in pair.of(order).column(t)}) == 2
+            len({banks[d] for d in schedule_column(pair.of(order), t)}) == 2
             for order in Order
             for t in range(2)
         )
@@ -460,7 +469,7 @@ def assert_colouring_valid(pair):
     mapping = colour_crossbar(pair)
     assert verify_mapping(mapping, pair).valid
     assert satisfies_partition_definition(mapping, pair)
-    assert [mapping[d] for d in pair.natural.column(0)] == list(range(pair.rows))
+    assert [mapping[d] for d in schedule_column(pair.natural, 0)] == list(range(pair.rows))
 
 
 @given(problems(max_size=16, parallelisms=(1, 2, 3, 4)), st.sampled_from(FillRule))

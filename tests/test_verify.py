@@ -21,7 +21,6 @@ from bankmap import (
     baseline_solve,
     brute_force_solve,
     derive_controls,
-    instance_key,
     objective_compatible,
     satisfies_partition_definition,
     simulate,
@@ -31,7 +30,7 @@ from bankmap import (
 )
 from bankmap.verify import Conflict
 from conftest import CROSSBAR_ONLY_MAPPING, KNOWN_MAPPING
-from helpers import problems, random_problem, size_parallelism_pairs
+from helpers import instance_key, problems, random_problem, size_parallelism_pairs
 
 BARREL = NetworkObjective.BARREL_SHIFTER
 CROSSBAR = NetworkObjective.CROSSBAR
