@@ -261,6 +261,7 @@ class CandidateSet(Record):
     """
 
     _fields = ("column", "cells", "bank_lists")
+    __hash__ = None  # mutable
 
     def __init__(self, column: ColumnRef, cells: tuple, bank_lists: tuple) -> None:
         self.column = column
@@ -379,7 +380,9 @@ class _Frame(Record):
     _fields = ("column", "tuples", "applied")
     __hash__ = None  # mutable
 
-    def __init__(self, column: ColumnRef, tuples: Iterator, applied: Optional[tuple] = None):
+    def __init__(
+        self, column: ColumnRef, tuples: Iterator, applied: Optional[tuple] = None
+    ) -> None:
         self.column = column
         self.tuples = tuples
         self.applied = applied
