@@ -13,8 +13,8 @@ Reports go to stdout as one line of compact JSON (`python -m json.tool
 report.json` indents one); --pretty renders the human view to stderr.
 
 Exit codes: 0 solved and objective met (or verification clean), 1 bad
-input, 2 solved with the objective relaxed, 3 infeasible or budget
-exhausted, 4 verification found collisions.
+input or usage, 2 solved with the objective relaxed, 3 infeasible or
+budget exhausted, 4 verification found collisions.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from itertools import chain
 from typing import Optional
 
 from . import __version__
-from .baseline import baseline_solve, build_tiles, greedy_fill, repair_complete
+from .baseline import build_tiles, greedy_fill, repair_complete
 from .errors import BankMapError, IncompleteMapping, InputFormatError, NotAnInteger
 from .network import NetworkObjective, derive_controls
-from .render import bank_letter, mapping_grids, render_bank_grid, render_matrix
+from .render import bank_letter, bank_rows, render_matrix
 from .schedule import (
     FillRule,
     LayoutConventions,
@@ -204,18 +204,11 @@ def build_report(
     # when the requested kind is out of reach; the schedule stays usable.
     control_kind = objective if met else NetworkObjective.CROSSBAR
     controls = derive_controls(mapping, schedules, control_kind)
-    letters = [bank_letter(b) for b in range(schedules.rows)]
-    letter_of = [letters[b] for b in mapping]
     report.update(
         {
             "objective_met": met,
             "banks": [list(bank) for bank in verification.bank_contents],
-            "matrices": {
-                order.value: [
-                    " ".join([letter_of[d] for d in row]) for row in schedules.of(order).cells
-                ]
-                for order in Order
-            },
+            "matrices": bank_rows(mapping, schedules),
             "controls": controls.to_json(),
             "verification": verification.to_json(),
         }
@@ -230,9 +223,7 @@ def _pretty_solve(report: dict, schedules: SchedulePair) -> None:
     print("interleaved data matrix:", file=sys.stderr)
     print(render_matrix(schedules.interleaved.cells), file=sys.stderr)
     if report["matrices"] is not None:
-        for order in Order:
-            print(f"{order.value} bank mapping:", file=sys.stderr)
-            print("\n".join(report["matrices"][order.value]), file=sys.stderr)
+        _pretty_bank_rows(report["matrices"])
     if report["banks"] is not None:
         for b, data in enumerate(report["banks"]):
             print(f"bank {bank_letter(b)}: {data}", file=sys.stderr)
@@ -243,29 +234,41 @@ def _pretty_solve(report: dict, schedules: SchedulePair) -> None:
                   f"({words['distinct_word_count']} distinct)", file=sys.stderr)
 
 
-def _run_solver(args, spec: ProblemSpec, schedules: SchedulePair, objective: NetworkObjective):
-    """Returns (solver_name, status, mapping, stats, trace)."""
-    if args.solver == "baseline":
+def _pretty_bank_rows(matrices: dict) -> None:
+    for order, rows in matrices.items():
+        print(f"{order} bank mapping:", file=sys.stderr)
+        print("\n".join(rows), file=sys.stderr)
+
+
+def solve_report(
+    spec: ProblemSpec, objective: NetworkObjective, schedules: SchedulePair,
+    solver: str, options: SolveOptions, seed: Optional[int],
+) -> tuple[dict, Optional[tuple], Optional[tuple]]:
+    """(report, mapping, trace) of one run of the named solver: the report
+    `bankmap solve` prints, and the trace of a traced backtracking solve
+    (else None). The baseline repairs with seed; the others honour options."""
+    status, stats, trace = Status.SOLVED, {}, None
+    if solver == "baseline":
         tiles = build_tiles(schedules)
-        mapping = repair_complete(greedy_fill(tiles), tiles, args.seed)
-        return "baseline", Status.SOLVED, mapping, {}, None
-    if args.solver == "oracle":
+        mapping = repair_complete(greedy_fill(tiles), tiles, seed)
+    elif solver == "oracle":
         solutions = brute_force_solve(schedules, objective, fix_first_column=True)
-        if not solutions and not args.strict_objective:
+        if not solutions and not options.strict_objective:
             solutions = brute_force_solve(
                 schedules, NetworkObjective.CROSSBAR, fix_first_column=True
             )
-        if solutions:
-            return "oracle", Status.SOLVED, solutions[0], {"solutions": len(solutions)}, None
-        return "oracle", Status.INFEASIBLE, None, {"solutions": 0}, None
-    options = SolveOptions(
-        strict_objective=args.strict_objective,
-        max_nodes=args.max_nodes,
-        trace=args.trace,
+        mapping = solutions[0] if solutions else None
+        status = Status.SOLVED if solutions else Status.INFEASIBLE
+        stats = {"solutions": len(solutions)}
+    else:
+        outcome = solve(spec, objective, options)
+        status, mapping, trace = outcome.status, outcome.mapping, outcome.trace
+        stats = outcome.stats.to_json()
+    report = build_report(
+        spec, objective, solver, status, mapping, schedules, stats,
+        seed=seed if solver == "baseline" else None,
     )
-    outcome = solve(spec, objective, options)
-    stats = outcome.stats.to_json()
-    return "backtracking", outcome.status, outcome.mapping, stats, outcome.trace
+    return report, mapping, trace
 
 
 def cmd_solve(args) -> int:
@@ -273,20 +276,18 @@ def cmd_solve(args) -> int:
         raise InputFormatError("--max-nodes", f"must be at least 1, got {args.max_nodes}")
     spec, objective = parse_problem(_load_json(args.problem, "problem"))
     schedules = SchedulePair.from_problem(spec)
-    solver_name, status, mapping, stats, trace = _run_solver(args, spec, schedules, objective)
-    if trace:
-        for event in trace:
-            where = f"{event.order.value} column {event.column}" if event.order else ""
-            print(f"trace: {event.kind} {where} data={event.data} banks={event.banks}",
-                  file=sys.stderr)
-    report = build_report(
-        spec, objective, solver_name, status, mapping, schedules, stats,
-        seed=args.seed if solver_name == "baseline" else None,
+    options = SolveOptions(
+        strict_objective=args.strict_objective, max_nodes=args.max_nodes, trace=args.trace
     )
+    report, _, trace = solve_report(spec, objective, schedules, args.solver, options, args.seed)
+    for event in trace or ():
+        where = f"{event.order.value} column {event.column}" if event.order else ""
+        print(f"trace: {event.kind} {where} data={event.data} banks={event.banks}",
+              file=sys.stderr)
     print(json.dumps(report))
     if args.pretty:
         _pretty_solve(report, schedules)
-    if status is not Status.SOLVED:
+    if report["status"] != Status.SOLVED.value:
         return EXIT_UNSOLVED
     return EXIT_OK if report["objective_met"] else EXIT_RELAXED
 
@@ -298,40 +299,25 @@ def cmd_verify(args) -> int:
     report = verify_mapping(mapping, schedules, objectives=[objective])
     print(json.dumps(report.to_json()))
     if args.pretty:
-        grids = mapping_grids(mapping, schedules)
-        for order in Order:
-            print(f"{order.value} bank mapping:", file=sys.stderr)
-            print(render_bank_grid(grids[order]), file=sys.stderr)
+        _pretty_bank_rows(bank_rows(mapping, schedules))
         print(f"valid: {report.valid}  conflicts: {len(report.conflicts)}", file=sys.stderr)
     return EXIT_OK if report.valid else EXIT_CONFLICTS
 
 
 def cmd_compare(args) -> int:
-    if args.seed_range:
-        span = args.seed_range[1] - args.seed_range[0] + 1
-        if span > MAX_SEED_SPAN:
-            raise InputFormatError(
-                "--seed-range", f"spans {span} seeds, at most {MAX_SEED_SPAN} allowed"
-            )
+    # --seed is None unless given, so that argparse sees it clash with --seed-range
+    seed = args.seed or 0
+    lo, hi = args.seed_range or (seed, seed)
+    if hi - lo + 1 > MAX_SEED_SPAN:
+        raise InputFormatError(
+            "--seed-range", f"spans {hi - lo + 1} seeds, at most {MAX_SEED_SPAN} allowed"
+        )
     spec, objective = parse_problem(_load_json(args.problem, "problem"))
     schedules = SchedulePair.from_problem(spec)
-    outcome = solve(spec, objective, SolveOptions())
-    runs = []
-    solver_report = build_report(
-        spec, objective, "backtracking", outcome.status, outcome.mapping, schedules,
-        outcome.stats.to_json(),
-    )
-    runs.append(solver_report)
-    if args.seed_range:
-        seeds = list(range(args.seed_range[0], args.seed_range[1] + 1))
-    else:
-        seeds = [args.seed]
-    for seed in seeds:
-        mapping = baseline_solve(spec, seed)
-        runs.append(
-            build_report(spec, objective, "baseline", Status.SOLVED, mapping, schedules,
-                         seed=seed)
-        )
+    seeds = range(lo, hi + 1)
+    options = SolveOptions()
+    runs = [solve_report(spec, objective, schedules, "backtracking", options, None)[0]]
+    runs += [solve_report(spec, objective, schedules, "baseline", options, s)[0] for s in seeds]
     summary = {
         "objective": objective.value,
         "runs": [
@@ -371,8 +357,16 @@ def _seed_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 means a relaxed objective here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bankmap",
         description="Collision-free memory bank mappings for parallel interleavers",
     )
@@ -405,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="run the backtracking solver and the baseline side by side"
     )
     p_compare.add_argument("problem")
-    p_compare.add_argument("--seed", type=int, default=0)
-    p_compare.add_argument("--seed-range", type=_seed_range, default=None, metavar="LO:HI",
-                           help=f"run the baseline once per seed (at most {MAX_SEED_SPAN})")
+    seeds = p_compare.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None, help="baseline repair seed (default 0)")
+    seeds.add_argument("--seed-range", type=_seed_range, default=None, metavar="LO:HI",
+                       help=f"run the baseline once per seed (at most {MAX_SEED_SPAN})")
     p_compare.add_argument("--pretty", action="store_true")
     p_compare.set_defaults(func=cmd_compare)
     return parser

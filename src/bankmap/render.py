@@ -20,13 +20,12 @@ def render_matrix(rows: Sequence[Sequence]) -> str:
     return "\n".join(" ".join(cell.rjust(width) for cell in row) for row in text)
 
 
-def render_bank_grid(grid: Sequence[Sequence[Optional[int]]]) -> str:
-    return render_matrix([[bank_letter(b) for b in row] for row in grid])
-
-
-def mapping_grids(bank_of: Sequence[int], schedules) -> dict:
-    """Bank-letter grids of a mapping over both schedules, keyed by order."""
+def bank_rows(bank_of: Sequence[int], schedules) -> dict:
+    """A mapping's bank letters laid out as each order's matrix: one string
+    per PE row, letters joined by a space, keyed by order value."""
+    letters = [bank_letter(b) for b in range(schedules.rows)]
+    letter_of = [letters[b] for b in bank_of]
     return {
-        sched.order: [[bank_of[d] for d in row] for row in sched.cells]
+        sched.order.value: [" ".join([letter_of[d] for d in row]) for row in sched.cells]
         for sched in (schedules.natural, schedules.interleaved)
     }

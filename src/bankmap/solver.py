@@ -372,86 +372,52 @@ class SolveOutcome(NamedTuple):
     trace: Optional[tuple] = None
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _search(schedules, objective, max_nodes, stats, trace) -> tuple[Status, Optional[tuple]]:
+    """(SOLVED, mapping), (INFEASIBLE, None) once every candidate is spent,
+    or (BUDGET_EXHAUSTED, None) before the max_nodes + 1-th assignment.
 
-
-class _Frame(Record):
-    _fields = ("column", "tuples", "applied")
-    __hash__ = None  # mutable
-
-    def __init__(
-        self, column: ColumnRef, tuples: Iterator, applied: Optional[tuple] = None
-    ) -> None:
-        self.column = column
-        self.tuples = tuples
-        self.applied = applied
-
-
-def _advance(frames, state, stats, max_nodes, trace) -> bool:
-    """Undo the top frame's assignment (if any) and apply its next tuple."""
-    frame = frames[-1]
-    if frame.applied is not None:
-        retract_column(state, frame.applied)
-        stats.backtracks += 1
-        if trace is not None:
-            trace.append(
-                TraceEvent("retract", frame.column.order, frame.column.index, frame.applied, None)
-            )
-        frame.applied = None
-    for banks in frame.tuples:
-        if max_nodes is not None and stats.nodes + 1 > max_nodes:
-            raise _BudgetExceeded()
-        record = assign_column(state, frame.column, banks)
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, len(frames))
-        frame.applied = record
-        if trace is not None:
-            trace.append(
-                TraceEvent("assign", frame.column.order, frame.column.index, record, banks)
-            )
-        return True
-    return False
-
-
-def _backtrack(frames, state, stats, max_nodes, trace) -> bool:
-    while frames:
-        if _advance(frames, state, stats, max_nodes, trace):
-            return True
-        frames.pop()
-    return False
-
-
-def _run_pass(
-    schedules: SchedulePair,
-    objective: NetworkObjective,
-    options: SolveOptions,
-    stats: SolveStats,
-    trace,
-) -> Optional[tuple]:
+    A frame is [column, tuple iterator, applied undo record or None]. Each
+    round selects a column and pushes its frame, then advances the top
+    frame: retract, take the next tuple, check the budget, assign. An
+    exhausted frame is popped and the one below advances.
+    """
     state = initialize(MappingState.fresh(schedules))
-    frames: list[_Frame] = []
-    max_nodes = options.max_nodes
+    frames: list = []
     while True:
         column = select_target_column(state)
-        if column is None:
+        if column is not None:
+            if trace is not None:
+                data = tuple(d for _, d in state.empty_cells(column))
+                trace.append(TraceEvent("select", column.order, column.index, data, None))
+            frames.append([column, iter(candidate_assignments(state, column, objective)), None])
+        else:
             mapping = state.mapping()
             # The per-cell filter is only sound, not tight; the finished
             # assignment is re-checked and the search goes on after a miss.
             if objective_compatible(mapping, schedules, objective):
-                return mapping
-            if not _backtrack(frames, state, stats, max_nodes, trace):
-                return None
-            continue
-        if trace is not None:
-            data = tuple(d for _, d in state.empty_cells(column))
-            trace.append(TraceEvent("select", column.order, column.index, data, None))
-        candidates = candidate_assignments(state, column, objective)
-        frames.append(_Frame(column, iter(candidates)))
-        if not _advance(frames, state, stats, max_nodes, trace):
+                return Status.SOLVED, mapping
+        while frames:
+            frame = frames[-1]
+            column, tuples, applied = frame
+            if applied is not None:
+                retract_column(state, applied)
+                stats.backtracks += 1
+                if trace is not None:
+                    trace.append(TraceEvent("retract", column.order, column.index, applied, None))
+                frame[2] = None
+            banks = next(tuples, None)
+            if banks is not None:
+                if max_nodes is not None and stats.nodes >= max_nodes:
+                    return Status.BUDGET_EXHAUSTED, None
+                frame[2] = record = assign_column(state, column, banks)
+                stats.nodes += 1
+                stats.max_depth = max(stats.max_depth, len(frames))
+                if trace is not None:
+                    trace.append(TraceEvent("assign", column.order, column.index, record, banks))
+                break
             frames.pop()
-            if not _backtrack(frames, state, stats, max_nodes, trace):
-                return None
+        else:
+            return Status.INFEASIBLE, None
 
 
 def colour_crossbar(schedules: SchedulePair) -> tuple[int, ...]:
@@ -521,20 +487,12 @@ def solve(
     schedules = SchedulePair.from_problem(problem)
     stats = SolveStats()
     trace: Optional[list] = [] if options.trace else None
-
-    def finish(status: Status, mapping: Optional[tuple]) -> SolveOutcome:
-        met = mapping is not None and objective_compatible(mapping, schedules, objective)
-        frozen = tuple(trace) if trace is not None else None
-        return SolveOutcome(status, mapping, met, stats, frozen)
-
-    try:
-        mapping = _run_pass(schedules, objective, options, stats, trace)
-    except _BudgetExceeded:
-        return finish(Status.BUDGET_EXHAUSTED, None)
-    if mapping is None and not options.strict_objective:
+    status, mapping = _search(schedules, objective, options.max_nodes, stats, trace)
+    met = mapping is not None
+    if status is Status.INFEASIBLE and not options.strict_objective:
         if trace is not None:
             trace.append(TraceEvent("relax", None, None, None, None))
-        mapping = colour_crossbar(schedules)
-    if mapping is None:
-        return finish(Status.INFEASIBLE, None)
-    return finish(Status.SOLVED, mapping)
+        status, mapping = Status.SOLVED, colour_crossbar(schedules)
+        met = objective_compatible(mapping, schedules, objective)
+    frozen = tuple(trace) if trace is not None else None
+    return SolveOutcome(status, mapping, met, stats, frozen)

@@ -6,17 +6,8 @@ import json
 
 from hypothesis import strategies as st
 
-from bankmap import (
-    BankMapError,
-    ProblemSpec,
-    SchedulePair,
-    SolveOptions,
-    Status,
-    baseline_solve,
-    solve,
-    validate_permutation,
-)
-from bankmap.cli import build_report
+from bankmap import BankMapError, ProblemSpec, SchedulePair, SolveOptions, validate_permutation
+from bankmap.cli import solve_report
 
 
 def size_parallelism_pairs(max_size, parallelisms):
@@ -118,24 +109,13 @@ def first_candidate(candidates):
 
 
 def solver_report(spec, objective, solver, seed=None, max_nodes=None):
-    """(mapping, report) of one CLI-equivalent solve.
-
-    solver is "backtracking" (run under max_nodes) or "baseline" (run
-    with seed); the report is the one `bankmap solve` prints.
-    """
-    schedules = SchedulePair.from_problem(spec)
-    if solver == "baseline":
-        mapping = baseline_solve(spec, seed)
-        report = build_report(
-            spec, objective, solver, Status.SOLVED, mapping, schedules, seed=seed
-        )
-        return mapping, report
-    outcome = solve(spec, objective, SolveOptions(max_nodes=max_nodes))
-    report = build_report(
-        spec, objective, solver, outcome.status, outcome.mapping, schedules,
-        outcome.stats.to_json(),
+    """(mapping, report) of `bankmap solve` with that solver, run under
+    max_nodes (backtracking) or with seed (baseline)."""
+    report, mapping, _ = solve_report(
+        spec, objective, SchedulePair.from_problem(spec), solver,
+        SolveOptions(max_nodes=max_nodes), seed,
     )
-    return outcome.mapping, report
+    return mapping, report
 
 
 @st.composite

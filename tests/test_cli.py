@@ -113,6 +113,86 @@ def test_solve_trace_and_pretty(demo_file, capsys):
     assert "A A C A" in err
 
 
+def bank_grid_lines(err):
+    """The '<order> bank mapping:' blocks of a --pretty view, headings included."""
+    lines, keep = [], False
+    for line in err.splitlines():
+        if line.endswith(" bank mapping:"):
+            keep = True
+        elif ":" in line:
+            keep = False
+        if keep:
+            lines.append(line)
+    return lines
+
+
+def test_verify_and_compare_pretty(demo_file, tmp_path, capsys):
+    _, out, _ = run(capsys, "solve", demo_file)
+    mapping_file = tmp_path / "report.json"
+    mapping_file.write_text(out)
+    code, _, err = run(capsys, "verify", demo_file, str(mapping_file), "--pretty")
+    assert code == 0
+    assert bank_grid_lines(err) == [
+        "natural bank mapping:", "A A C A", "B B A B", "C C B C",
+        "interleaved bank mapping:", "A B C A", "C A B C", "B C A B",
+    ]
+    assert err.splitlines()[-1] == "valid: True  conflicts: 0"
+    code, _, err = run(capsys, "compare", demo_file, "--seed-range", "0:1", "--pretty")
+    assert code == 0
+    assert err.splitlines() == [
+        "backtracking: status=solved valid=True objective_met=True",
+        "baseline seed=0: status=solved valid=True objective_met=False",
+        "baseline seed=1: status=solved valid=True objective_met=False",
+    ]
+
+
+def test_solve_and_verify_pretty_print_one_grid_above_26_banks(tmp_path, capsys):
+    # banks 26 and up are lettered B26, B27, ...; both views join them by one space
+    problem = write_json(
+        tmp_path / "x30.json", {"permutation": list(range(59, -1, -1)), "parallelism": 30}
+    )
+    _, out, solve_err = run(capsys, "solve", problem, "--solver", "baseline", "--pretty")
+    report = json.loads(out)
+    mapping_file = tmp_path / "report.json"
+    mapping_file.write_text(out)
+    code, _, verify_err = run(capsys, "verify", problem, str(mapping_file), "--pretty")
+    assert code == 0
+    grid = bank_grid_lines(solve_err)
+    assert grid == bank_grid_lines(verify_err)
+    assert grid == [
+        line
+        for order in ("natural", "interleaved")
+        for line in [f"{order} bank mapping:"] + report["matrices"][order]
+    ]
+    assert any("B29" in line for line in grid)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "PROBLEM", "--solver", "nope"],
+        ["solve", "PROBLEM", "--max-nodes", "x"],
+        ["compare", "PROBLEM", "--seed-range", "3:1"],
+        [],
+    ],
+)
+def test_usage_errors_exit_one(demo_file, capsys, argv):
+    # exit 2 would read as "solved with the objective relaxed"
+    with pytest.raises(SystemExit) as exit_:
+        main([demo_file if arg == "PROBLEM" else arg for arg in argv])
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: bankmap")
+
+
+def test_version_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("bankmap ")
+
+
 def test_solve_non_divisor_is_input_error(tmp_path, capsys):
     problem = write_json(
         tmp_path / "bad.json", {"permutation": list(DEMO_PERMUTATION), "parallelism": 5}
@@ -315,17 +395,42 @@ def test_compare_seed_range_above_bound_is_input_error(demo_file, capsys, span):
 
 def test_compare_seed_range_at_bound_is_accepted(demo_file, capsys, monkeypatch):
     # record the seeds the baseline runs with; each run reuses seed 0's work
-    real = cli.baseline_solve
+    real = cli.repair_complete
     calls = []
 
-    def baseline(spec, seed):
+    def repair(gaps, tiles, seed):
         calls.append(seed)
-        return real(spec, 0)
+        return real(gaps, tiles, 0)
 
-    monkeypatch.setattr(cli, "baseline_solve", baseline)
+    monkeypatch.setattr(cli, "repair_complete", repair)
     code, _, _ = run(capsys, "compare", demo_file, "--seed-range", "1:1000")
     assert code == 0
     assert calls == list(range(1, 1001))
+
+
+@pytest.mark.parametrize("argv", [["--seed", "3", "--seed-range", "0:1"],
+                                  ["--seed", "0", "--seed-range", "0:1"],
+                                  ["--seed-range", "0:1", "--seed", "0"]])
+def test_compare_seed_with_seed_range_is_usage_error(demo_file, capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", demo_file] + argv)
+    assert exit_.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, seeds", [([], [0]), (["--seed", "5"], [5]), (["--seed-range", "1:3"], [1, 2, 3])]
+)
+def test_compare_reports_are_solve_reports(demo_file, capsys, argv, seeds):
+    _, out, _ = run(capsys, "compare", demo_file, *argv)
+    reports = json.loads(out)["reports"]
+    assert [(r["solver"], r.get("seed")) for r in reports] == (
+        [("backtracking", None)] + [("baseline", seed) for seed in seeds]
+    )
+    for report in reports:
+        seed = ["--seed", str(report["seed"])] if "seed" in report else []
+        _, out, _ = run(capsys, "solve", demo_file, "--solver", report["solver"], *seed)
+        assert one_json_line(out) == report
 
 
 def test_compare_single_pe_agrees(tmp_path, capsys):
