@@ -20,6 +20,7 @@ budget exhausted, 4 verification found collisions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import chain
@@ -59,12 +60,17 @@ CONVENTION_KEYS = {"natural_fill", "interleaved_fill"}
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputFormatError(what, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        # bytes: json detects UTF-8, -16 or -32; a bad byte is a ValueError
+        doc = json.loads(data)
+    except ValueError as exc:
         raise InputFormatError(what, f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(what, f"{path} is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InputFormatError(what, "top level must be a JSON object")
     return doc
@@ -365,7 +371,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    a parse keeps no state in it, and argparse looks up sys.stdout and
+    sys.stderr only when it prints."""
     parser = _Parser(
         prog="bankmap",
         description="Collision-free memory bank mappings for parallel interleavers",

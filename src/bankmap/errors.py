@@ -19,10 +19,10 @@ class NotAnInteger(BankMapError):
 
 
 class OutOfRange(BankMapError):
-    def __init__(self, value: int, length: int) -> None:
+    def __init__(self, value: int, length: int, what: str = "permutation entry") -> None:
         self.value = value
         self.length = length
-        super().__init__(f"permutation entry {value!r} is outside [0, {length})")
+        super().__init__(f"{what} {value!r} is outside [0, {length})")
 
 
 class DuplicateEntry(BankMapError):

@@ -14,7 +14,13 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ControlMismatch, IncompleteMapping, InstanceTooLarge
+from .errors import (
+    ControlMismatch,
+    IncompleteMapping,
+    InstanceTooLarge,
+    NotAnInteger,
+    OutOfRange,
+)
 from .network import (
     ControlSchedule,
     NetworkObjective,
@@ -22,7 +28,7 @@ from .network import (
     column_pattern,
     objective_compatible,
 )
-from .schedule import Order, SchedulePair
+from .schedule import Order, SchedulePair, all_indices, is_int
 
 # enumeration cost is (X!)^N; these bounds keep it interactive
 ORACLE_MAX_SIZE = 16
@@ -59,11 +65,20 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _require_total(bank_of: Sequence[Optional[int]], size: int) -> None:
+def _require_total(bank_of: Sequence[Optional[int]], schedules: SchedulePair) -> None:
+    """Every datum has a bank, and every bank is an integer in [0, X)."""
+    size, banks = schedules.size, schedules.rows
     if len(bank_of) < size or None in bank_of:
         missing = [d for d in range(size) if d >= len(bank_of) or bank_of[d] is None]
         if missing:
             raise IncompleteMapping(missing)
+    if not all_indices(bank_of, banks):
+        # name the first bad datum
+        for datum, bank in enumerate(bank_of):
+            if not is_int(bank):
+                raise NotAnInteger(f"datum {datum}: bank", bank)
+            if not 0 <= bank < banks:
+                raise OutOfRange(bank, banks, what=f"datum {datum}: bank")
 
 
 def verify_mapping(
@@ -76,7 +91,7 @@ def verify_mapping(
     Reports every colliding pair, the per-bank data contents, and - for
     each queried objective - whether the mapping could realize it.
     """
-    _require_total(bank_of, schedules.size)
+    _require_total(bank_of, schedules)
     bank_at = bank_of.__getitem__
     conflicts = []
     for order in Order:
@@ -109,7 +124,7 @@ def satisfies_partition_definition(bank_of: Sequence[int], schedules: SchedulePa
     subset maps onto as many banks as it has members. Kept independent of
     verify_mapping on purpose.
     """
-    _require_total(bank_of, schedules.size)
+    _require_total(bank_of, schedules)
     for order in Order:
         partition = [frozenset(column) for column in schedules.of(order).columns]
         for subset in partition:

@@ -473,6 +473,99 @@ def test_import_leaves_out_dataclasses_inspect_and_hashlib():
     assert out.strip() == "[]"
 
 
+
+def test_import_builds_no_parser():
+    code = "import bankmap.cli; print(bankmap.cli.build_parser.cache_info().currsize)"
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "0"
+
+
+def test_main_builds_the_parser_once_per_process(demo_file, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for argv in (["solve", demo_file], ["compare", demo_file], ["solve", demo_file, "--trace"]):
+        main(argv)
+    capsys.readouterr()
+    # one top-level parser and its three subcommand parsers, once
+    assert built == ["bankmap", "bankmap solve", "bankmap verify", "bankmap compare"]
+
+
+def call(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_shared_parser_leaks_nothing_between_calls(demo_file, tmp_path, capsys, reverse):
+    report = tmp_path / "report.json"
+    report.write_text(call(capsys, ["solve", demo_file])[1])
+    calls = [
+        ["solve", demo_file, "--pretty"],
+        ["solve", demo_file, "--trace"],
+        ["verify", demo_file, str(report)],
+        ["compare", demo_file, "--seed", "3"],
+        ["compare", demo_file, "--seed-range", "0:2"],
+        ["solve", demo_file, "--solver", "nope"],
+        ["--version"],
+    ]
+    if reverse:
+        calls.reverse()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    cli.build_parser.cache_clear()
+    shared = [call(capsys, argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1 if "nope" in argv else 0 for argv in calls]
+
+
+@pytest.mark.parametrize("kind", ["problem", "mapping"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'\xff{"permutation": [0], "parallelism": 1}',
+        b'{"banks": [[0]], "note": "\x80"}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["leading-0xff", "byte-0x80", "nested-100000"],
+)
+def test_unreadable_json_is_input_error(demo_file, tmp_path, capsys, kind, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(InputFormatError) as err:
+        cli._load_json(str(bad), kind)
+    assert err.value.field == kind
+    argv = ["solve", str(bad)] if kind == "problem" else ["verify", demo_file, str(bad)]
+    code, out, err_text = call(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err_text.startswith(f"error: {kind}: ")
+    assert "Traceback" not in err_text
+
+
+def test_json_in_utf16_is_read(demo_file, tmp_path, capsys):
+    problem = tmp_path / "utf16.json"
+    problem.write_bytes(pathlib.Path(demo_file).read_text().encode("utf-16"))
+    assert call(capsys, ["solve", str(problem)]) == call(capsys, ["solve", demo_file])
+
+
 def reference_parse_ids(banks, size):
     # the id-by-id loop parse_mapping ran before its C-level pre-check; it
     # decides which id an error names

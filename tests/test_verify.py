@@ -14,6 +14,7 @@ from bankmap import (
     LayoutConventions,
     NetworkObjective,
     Order,
+    OutOfRange,
     ProblemSpec,
     SchedulePair,
     SolveOptions,
@@ -30,7 +31,7 @@ from bankmap import (
 )
 from bankmap.verify import Conflict
 from conftest import CROSSBAR_ONLY_MAPPING, KNOWN_MAPPING
-from helpers import instance_key, problems, random_problem, size_parallelism_pairs
+from helpers import instance_key, outcome_of, problems, random_problem, size_parallelism_pairs
 
 BARREL = NetworkObjective.BARREL_SHIFTER
 CROSSBAR = NetworkObjective.CROSSBAR
@@ -157,6 +158,14 @@ def test_verifier_codepaths_agree(spec, seed):
     rng = random.Random(seed)
     mapping = tuple(rng.randrange(spec.parallelism) for _ in range(spec.size))
     assert verify_mapping(mapping, pair).valid == satisfies_partition_definition(mapping, pair)
+    # banks -1 and X are no banks: both codepaths reject them, naming the same datum
+    mapping = tuple(rng.randrange(-1, spec.parallelism + 1) for _ in range(spec.size))
+    verdict = outcome_of(lambda m: verify_mapping(m, pair).valid, mapping)
+    assert outcome_of(satisfies_partition_definition, mapping, pair) == verdict
+    bad = [d for d, bank in enumerate(mapping) if not 0 <= bank < spec.parallelism]
+    if bad:
+        assert verdict[0] is OutOfRange
+        assert verdict[1].startswith(f"datum {bad[0]}: bank {mapping[bad[0]]} ")
 
 
 def reference_verify(bank_of, schedules, objectives):
