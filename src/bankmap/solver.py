@@ -23,13 +23,16 @@ The outcome reports honestly whether the objective was met.
 Every layer reads the schedules by column: a column's data come from
 `columns[t]` and a datum's column of the other order from `column_of`.
 Column selection is incremental. The state caches each column's
-completion count, and assign/retract drop only the counts that read a
-changed mask: the datum's two columns, plus every column of the other
-order that holds a still-unmapped datum of either. The count itself
+completion count and its selection key. A column assignment or its undo
+writes every cell, then drops, once for the whole column, only the
+counts that read a changed mask: the touched columns of both orders,
+plus every column of the other order that holds a still-unmapped datum
+of one of them. Their keys go stale; a selection recomputes the stale
+keys alone and takes the least key of all columns. The count itself
 depends only on the multiset of the empty cells' free-bank masks (each
 the column's free banks minus those used in the datum's other column,
-built in one pass), so the bitmask DP's result is memoised on their
-sorted tuple for the whole solve.
+read from per-solve flat tables), so the bitmask DP's result is
+memoised on their sorted tuple for the whole solve.
 
 The search is driven by an explicit frame stack with an exact undo log,
 so its depth is bounded by the number of columns, not by the
@@ -45,6 +48,11 @@ from .errors import InvariantViolation
 from .network import NetworkObjective, admissible_banks, objective_compatible
 from .schedule import ColumnRef, Order, ProblemSpec, Record, SchedulePair
 
+# The orders by selection tie-break rank, and the key of a full column,
+# above every real key.
+SIDES = (Order.INTERLEAVED, Order.NATURAL)
+DONE = (float("inf"),)
+
 
 class MappingState(Record):
     """The datum -> bank table plus a used-bank bitmask per column.
@@ -55,10 +63,19 @@ class MappingState(Record):
     either of the datum's columns, so column distinctness holds by
     construction.
 
-    Two derived caches sit beside the logical state and take no part in
+    Flat tables, built once per state, spare the hot paths the schedule
+    lookups: partners[order][t] holds the (datum, column of the other
+    order) pair of each row of a column, other maps an order to the other
+    one and full is the mask of all X banks.
+
+    Derived caches sit beside the logical state and take no part in
     equality or the repr. counts[order][t] is the column's
     completion_count, or None once a change may have moved it. memo maps
     the sorted free-bank masks of a column's empty cells to their count.
+    keys[base[order] + t] is the column's selection key, (count, empties,
+    side, t) with side its index in SIDES, or DONE once the column is
+    full; base[order] is side * N. stale holds the key slots that a
+    change may have moved, to be recomputed at the next selection.
     """
 
     _fields = ("schedules", "bank_of", "used")
@@ -72,20 +89,25 @@ class MappingState(Record):
         self.used = used
         self.counts = counts
         self.memo = memo
+        self.rows = rows = schedules.rows
+        self.cycles = cycles = schedules.cycles
+        self.full = (1 << rows) - 1
+        self.other = {Order.NATURAL: Order.INTERLEAVED, Order.INTERLEAVED: Order.NATURAL}
+        self.partners = {}
+        for order in Order:
+            other_of = schedules.column_of[self.other[order]]
+            self.partners[order] = [
+                tuple((d, other_of[d]) for d in data) for data in schedules.of(order).columns
+            ]
+        self.base = {order: side * cycles for side, order in enumerate(SIDES)}
+        self.keys = [DONE] * (2 * cycles)
+        self.stale = set(range(2 * cycles))
 
     @classmethod
     def fresh(cls, schedules: SchedulePair) -> "MappingState":
         used = {order: [0] * schedules.cycles for order in Order}
         counts = {order: [None] * schedules.cycles for order in Order}
         return cls(schedules, [None] * schedules.size, used, counts, {})
-
-    @property
-    def rows(self) -> int:
-        return self.schedules.rows
-
-    @property
-    def cycles(self) -> int:
-        return self.schedules.cycles
 
     def column(self, order: Order, index: int) -> list:
         """Mapped bank of each row's datum in one column, None where unmapped."""
@@ -97,50 +119,61 @@ class MappingState(Record):
     def free_banks(self, order: Order, row: int, index: int) -> int:
         """Bitmask of the banks legal for one cell: unused in this column
         and in the datum's column of the other order."""
-        datum = self.schedules.of(order).columns[index][row]
-        other_index = self.schedules.column_of[order.other][datum]
-        taken = self.used[order][index] | self.used[order.other][other_index]
-        return ((1 << self.rows) - 1) & ~taken
-
-    def _columns_of(self, datum: int) -> list:
-        return [(order, self.schedules.column_of[order][datum]) for order in Order]
+        other_index = self.partners[order][index][row][1]
+        return self.full & ~(self.used[order][index] | self.used[self.other[order]][other_index])
 
     def assign(self, datum: int, bank: int) -> None:
         if self.bank_of[datum] is not None:
             raise InvariantViolation(f"datum {datum} is already mapped")
         if not 0 <= bank < self.rows:
             raise InvariantViolation(f"bank {bank} is outside [0, {self.rows})")
-        bit = 1 << bank
-        columns = self._columns_of(datum)
-        for order, t in columns:
-            if self.used[order][t] & bit:
+        for order in Order:
+            t = self.schedules.column_of[order][datum]
+            if self.used[order][t] >> bank & 1:
                 raise InvariantViolation(f"bank {bank} already used in {order.value} column {t}")
-        self.bank_of[datum] = bank
-        for order, t in columns:
-            self.used[order][t] |= bit
-        self._drop_counts(columns)
+        self._toggle((datum,), (bank,))
 
     def retract(self, datum: int) -> None:
-        bank = self.bank_of[datum]
-        if bank is None:
-            raise InvariantViolation(f"datum {datum} is not mapped")
-        self.bank_of[datum] = None
-        columns = self._columns_of(datum)
-        for order, t in columns:
-            self.used[order][t] &= ~(1 << bank)
-        self._drop_counts(columns)
+        self._unmap((datum,))
 
-    def _drop_counts(self, columns: list) -> None:
-        """Forget the cached counts that read the given columns' masks:
-        the columns' own, and those of the other order's columns that
-        hold one of their unmapped data."""
-        for order, t in columns:
-            self.counts[order][t] = None
-            partner_counts = self.counts[order.other]
-            partner_column = self.schedules.column_of[order.other]
-            for datum in self.schedules.of(order).columns[t]:
-                if self.bank_of[datum] is None:
-                    partner_counts[partner_column[datum]] = None
+    def _unmap(self, data: tuple) -> None:
+        banks = [self.bank_of[d] for d in data]
+        if None in banks:
+            raise InvariantViolation(f"datum {data[banks.index(None)]} is not mapped")
+        self._toggle(data, banks)
+
+    def _toggle(self, data: tuple, banks) -> None:
+        """Flip each datum between unmapped and mapped to its bank, with no
+        check: the bank's bit flips in both of the datum's column masks.
+        The counts are then dropped once for all of them."""
+        bank_of = self.bank_of
+        natural_used, interleaved_used = self.used[Order.NATURAL], self.used[Order.INTERLEAVED]
+        natural_of = self.schedules.column_of[Order.NATURAL]
+        interleaved_of = self.schedules.column_of[Order.INTERLEAVED]
+        for datum, bank in zip(data, banks):
+            bit = 1 << bank
+            natural_used[natural_of[datum]] ^= bit
+            interleaved_used[interleaved_of[datum]] ^= bit
+            bank_of[datum] = bank if bank_of[datum] is None else None
+        self._drop_counts(data)
+
+    def _drop_counts(self, data: tuple) -> None:
+        """Forget the cached counts that read the masks of the given data's
+        columns: the columns' own, and those of the other order's columns
+        that hold one of their unmapped data. Their keys go stale."""
+        bank_of, stale, counts = self.bank_of, self.stale, self.counts
+        for order in SIDES:
+            other = self.other[order]
+            own_counts, own_base, partners = counts[order], self.base[order], self.partners[order]
+            partner_counts, partner_base = counts[other], self.base[other]
+            column_of = self.schedules.column_of[order]
+            for t in {column_of[d] for d in data}:
+                own_counts[t] = None
+                stale.add(own_base + t)
+                for d, u in partners[t]:
+                    if bank_of[d] is None:
+                        partner_counts[u] = None
+                        stale.add(partner_base + u)
 
     def empty_cells(self, column: ColumnRef) -> list[tuple[int, int]]:
         """(row, datum) pairs of the column's unmapped cells, by row."""
@@ -157,9 +190,9 @@ class MappingState(Record):
 
     def check_invariants(self) -> None:
         """Banks are in [0, X), masks agree with the bank table, columns are
-        distinct and every cached count equals a fresh completion_count;
-        raises on a bug."""
-        for order in Order:
+        distinct, and every cached count and selection key equals a fresh
+        one; raises on a bug."""
+        for side, order in enumerate(SIDES):
             for t in range(self.cycles):
                 banks = [b for b in self.column(order, t) if b is not None]
                 if not all(0 <= b < self.rows for b in banks):
@@ -170,10 +203,18 @@ class MappingState(Record):
                     raise InvariantViolation(
                         f"{order.value} column {t} mask disagrees with the bank table"
                     )
+                empties = self.rows - len(banks)
+                count = completion_count(self, ColumnRef(order, t)) if empties else None
                 cached = self.counts[order][t]
-                if cached is not None and cached != completion_count(self, ColumnRef(order, t)):
+                if cached is not None and cached != count:
                     raise InvariantViolation(
                         f"{order.value} column {t} has a stale completion count"
+                    )
+                slot = self.base[order] + t
+                key = (count, empties, side, t) if empties else DONE
+                if slot not in self.stale and self.keys[slot] != key:
+                    raise InvariantViolation(
+                        f"{order.value} column {t} has a stale selection key"
                     )
 
 
@@ -199,13 +240,11 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
     """
     order, t = column
     bank_of = state.bank_of
-    free = ((1 << state.rows) - 1) & ~state.used[order][t]
-    partner_used = state.used[order.other]
-    partner_column = state.schedules.column_of[order.other]
-    masks = tuple(sorted(
-        free & ~partner_used[partner_column[d]]
-        for d in state.schedules.of(order).columns[t] if bank_of[d] is None
-    ))
+    free = state.full & ~state.used[order][t]
+    partner_used = state.used[state.other[order]]
+    masks = [free & ~partner_used[u] for d, u in state.partners[order][t] if bank_of[d] is None]
+    masks.sort()
+    masks = tuple(masks)
     known = state.memo.get(masks)
     if known is not None:
         return known
@@ -229,26 +268,21 @@ def select_target_column(state: MappingState) -> Optional[ColumnRef]:
 
     Ties break on fewer empty cells, then interleaved side before natural,
     then lowest column index. None once every cell is mapped. Only the
-    counts that assign/retract dropped are recomputed.
+    stale keys, those whose counts assign/retract dropped, are recomputed;
+    the least key then names the column.
     """
-    rows = state.rows
-    best = None
-    best_key = None
-    for order in (Order.NATURAL, Order.INTERLEAVED):
-        side_rank = 0 if order is Order.INTERLEAVED else 1
-        used = state.used[order]
-        counts = state.counts[order]
-        for t in range(state.cycles):
-            empties = rows - used[t].bit_count()
-            if not empties:
-                continue
-            count = counts[t]
-            if count is None:
-                count = counts[t] = completion_count(state, ColumnRef(order, t))
-            key = (count, empties, side_rank, t)
-            if best_key is None or key < best_key:
-                best, best_key = ColumnRef(order, t), key
-    return best
+    for slot in state.stale:
+        side, t = divmod(slot, state.cycles)
+        order = SIDES[side]
+        empties = state.rows - state.used[order][t].bit_count()
+        if empties:
+            count = state.counts[order][t] = completion_count(state, ColumnRef(order, t))
+            state.keys[slot] = (count, empties, side, t)
+        else:
+            state.keys[slot] = DONE
+    state.stale.clear()
+    key = min(state.keys)
+    return None if key is DONE else ColumnRef(SIDES[key[2]], key[3])
 
 
 class CandidateSet(Record):
@@ -317,15 +351,14 @@ def assign_column(
             raise InvariantViolation(
                 f"bank {bank} is not admissible at row {row} of column {column}"
             )
-    for (_, datum), bank in zip(cells, banks):
-        state.assign(datum, bank)
-    return tuple(datum for _, datum in cells)
+    record = tuple(datum for _, datum in cells)
+    state._toggle(record, banks)
+    return record
 
 
 def retract_column(state: MappingState, record: tuple[int, ...]) -> None:
     """Exact inverse of assign_column for the given undo record."""
-    for datum in reversed(record):
-        state.retract(datum)
+    state._unmap(record)
 
 
 class Status(enum.Enum):

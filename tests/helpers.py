@@ -34,6 +34,27 @@ def problems(draw, max_size=24, parallelisms=(1, 2, 3, 4)):
     return ProblemSpec(validate_permutation(entries), x)
 
 
+def planted_barrel_problem(rng, length, x):
+    """A barrel-feasible instance under the default conventions. Natural
+    cycle t holds bank (p - r_t) mod X at row p; interleaved cycle s takes
+    one datum of each bank, placed by a random rotation of a random
+    reference pattern, so both orders are rotations of their column 0."""
+    cycles = length // x
+    offsets = [0] + [rng.randrange(x) for _ in range(cycles - 1)]
+    by_bank = [[] for _ in range(x)]
+    for p in range(x):
+        for t in range(cycles):
+            by_bank[(p - offsets[t]) % x].append(p * cycles + t)
+    for data in by_bank:
+        rng.shuffle(data)
+    reference = rng.sample(range(x), x)
+    entries = []
+    for s in range(cycles):
+        u = rng.randrange(x)
+        entries += [by_bank[reference[(p - u) % x]][s] for p in range(x)]
+    return ProblemSpec(validate_permutation(entries), x)
+
+
 def relabel_equal(a, b):
     """True when some bank relabeling carries mapping a onto mapping b."""
     if len(a) != len(b):

@@ -1,7 +1,11 @@
 import copy
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -239,6 +243,16 @@ def test_check_invariants_catches_stale_count(demo_pair):
         state.check_invariants()
 
 
+def test_check_invariants_catches_stale_key(demo_pair):
+    state = initialize(MappingState.fresh(demo_pair))
+    column = select_target_column(state)  # fills the key cache
+    slot = state.base[column.order] + column.index
+    count, *rest = state.keys[slot]
+    state.keys[slot] = (count + 1, *rest)
+    with pytest.raises(InvariantViolation):
+        state.check_invariants()
+
+
 def test_retract_restores_previous_state(demo_pair):
     state = fig_state(demo_pair)
     before = copy.deepcopy(state)
@@ -330,8 +344,9 @@ def unfinished_columns(state):
     ]
 
 
+@pytest.mark.parametrize("objective", [CROSSBAR, BARREL])
 @pytest.mark.parametrize("fill", list(FillRule))
-def test_cached_selection_matches_from_scratch(fill):
+def test_cached_selection_matches_from_scratch(fill, objective):
     rng = random.Random(31 + list(FillRule).index(fill))
     steps = 0
     for _ in range(6):
@@ -348,7 +363,7 @@ def test_cached_selection_matches_from_scratch(fill):
                 # any unfinished column, not only the selected one, so the
                 # invalidation is exercised from every kind of state
                 column = chosen if rng.random() < 0.5 else rng.choice(open_columns)
-                options = candidate_assignments(state, column, CROSSBAR)
+                options = candidate_assignments(state, column, objective)
                 first = first_candidate(options)
                 if first is None:
                     if not records:
@@ -396,6 +411,31 @@ def test_selection_recounts_only_invalidated_columns(fill, monkeypatch):
     assert calls == []
 
 
+def test_column_moves_drop_counts_once_per_column(monkeypatch):
+    import bankmap.solver as solver_module
+
+    drops = []
+    real_drop = MappingState._drop_counts
+    monkeypatch.setattr(
+        MappingState, "_drop_counts", lambda s, data: drops.append(data) or real_drop(s, data)
+    )
+    moves = []  # (function, drops the call made)
+    for name in ("assign_column", "retract_column"):
+        def counted(*args, real=getattr(solver_module, name), name=name):
+            before = len(drops)
+            result = real(*args)
+            moves.append((name, len(drops) - before))
+            return result
+        monkeypatch.setattr(solver_module, name, counted)
+    spec = random_problem(random.Random(4), [(96, 8)])
+    outcome = solve(spec, CROSSBAR, SolveOptions(trace=True))
+    assert outcome.stats.backtracks > 0
+    assert len(moves) == outcome.stats.nodes + outcome.stats.backtracks
+    assert all(made == 1 for _, made in moves)
+    # most moves fill several cells, so a drop per datum would be counted
+    assert sum(len(e.data) > 1 for e in outcome.trace if e.kind == "assign") > 10
+
+
 def test_solve_demo_reproduces_known_mapping(demo_problem):
     outcome = solve(demo_problem, BARREL)
     assert outcome.status is Status.SOLVED
@@ -438,6 +478,42 @@ def test_solve_is_deterministic(demo_problem):
     first = solve(demo_problem, BARREL, options)
     second = solve(demo_problem, BARREL, options)
     assert first == second
+
+
+DETERMINISM_SCRIPT = """
+import random
+from bankmap import NetworkObjective, SolveOptions, solve
+from helpers import outcome_digest, planted_barrel_problem, random_problem
+
+options = SolveOptions(trace=True)
+for spec, objective in (
+    (random_problem(random.Random(6), [(24, 4)]), NetworkObjective.BARREL_SHIFTER),
+    (random_problem(random.Random(2), [(64, 8)]), NetworkObjective.CROSSBAR),
+    (planted_barrel_problem(random.Random(1), 32, 4), NetworkObjective.BARREL_SHIFTER),
+):
+    outcome = solve(spec, objective, options)
+    print(outcome.objective_met, outcome.stats.backtracks > 0, outcome_digest(outcome))
+"""
+
+
+def test_solve_is_deterministic_across_processes():
+    # Order hashes by identity, so a set or dict keyed on it iterates in
+    # an order that can change from process to process
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", DETERMINISM_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True,
+        ).stdout.split("\n")
+        for hash_seed in ("0", "1")
+    ]
+    assert runs[0] == runs[1]
+    # relaxed barrel, crossbar and planted barrel solves, each backtracking
+    assert [line.split()[:2] for line in runs[0] if line] == [
+        ["False", "True"], ["True", "True"], ["True", "True"]
+    ]
 
 
 def test_solve_budget_exhausted(demo_problem):
