@@ -277,9 +277,13 @@ def solve_report(
     return report, mapping, trace
 
 
+def _check_max_nodes(max_nodes: Optional[int]) -> None:
+    if max_nodes is not None and max_nodes < 1:
+        raise InputFormatError("--max-nodes", f"must be at least 1, got {max_nodes}")
+
+
 def cmd_solve(args) -> int:
-    if args.max_nodes is not None and args.max_nodes < 1:
-        raise InputFormatError("--max-nodes", f"must be at least 1, got {args.max_nodes}")
+    _check_max_nodes(args.max_nodes)
     spec, objective = parse_problem(_load_json(args.problem, "problem"))
     schedules = SchedulePair.from_problem(spec)
     options = SolveOptions(
@@ -311,6 +315,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_max_nodes(args.max_nodes)
     # --seed is None unless given, so that argparse sees it clash with --seed-range
     seed = args.seed or 0
     lo, hi = args.seed_range or (seed, seed)
@@ -321,7 +326,7 @@ def cmd_compare(args) -> int:
     spec, objective = parse_problem(_load_json(args.problem, "problem"))
     schedules = SchedulePair.from_problem(spec)
     seeds = range(lo, hi + 1)
-    options = SolveOptions()
+    options = SolveOptions(max_nodes=args.max_nodes)
     runs = [solve_report(spec, objective, schedules, "backtracking", options, None)[0]]
     runs += [solve_report(spec, objective, schedules, "baseline", options, s)[0] for s in seeds]
     summary = {
@@ -413,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--seed", type=int, default=None, help="baseline repair seed (default 0)")
     seeds.add_argument("--seed-range", type=_seed_range, default=None, metavar="LO:HI",
                        help=f"run the baseline once per seed (at most {MAX_SEED_SPAN})")
+    p_compare.add_argument("--max-nodes", type=int, default=None,
+                           help="search budget of the backtracking run, in column assignments")
     p_compare.add_argument("--pretty", action="store_true")
     p_compare.set_defaults(func=cmd_compare)
     return parser

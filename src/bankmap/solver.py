@@ -31,8 +31,11 @@ of one of them. Their keys go stale; a selection recomputes the stale
 keys alone and takes the least key of all columns. The count itself
 depends only on the multiset of the empty cells' free-bank masks (each
 the column's free banks minus those used in the datum's other column,
-read from per-solve flat tables), so the bitmask DP's result is
-memoised on their sorted tuple for the whole solve.
+read from per-solve flat tables), so it is memoised on their sorted
+tuple for the whole solve. Two exact methods give it: inclusion-exclusion
+over the rook numbers of the forbidden board (the free banks a cell may
+not take) when a column has five or more empty cells and at most half as
+many forbidden cell/bank pairs as allowed ones, else a bitmask DP.
 
 The search is driven by an explicit frame stack with an exact undo log,
 so its depth is bounded by the number of columns, not by the
@@ -42,6 +45,7 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvariantViolation
@@ -234,9 +238,13 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
     """Number of legal whole-column completions under structural rules only.
 
     Counts assignments of pairwise-distinct banks, one per empty cell,
-    each drawn from the cell's free-bank mask (bitmask DP). The count does
-    not depend on the cells' order, so it is memoised in state.memo on the
-    sorted tuple of masks.
+    each drawn from the cell's free-bank mask: the permanent of the
+    column's k x k cell x free-bank 0/1 matrix. Two exact methods give
+    it. When k >= 5 and the forbidden pairs (free banks a cell may not
+    take) are at most half the allowed ones, _rook_count sums over the
+    forbidden board; otherwise _matching_count runs the bitmask DP. The
+    count does not depend on the cells' order, so it is memoised in
+    state.memo on the sorted tuple of masks.
     """
     order, t = column
     bank_of = state.bank_of
@@ -248,6 +256,18 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
     known = state.memo.get(masks)
     if known is not None:
         return known
+    k = len(masks)
+    # forbidden = k * k - allowed, so 2 * forbidden <= allowed reads:
+    if k >= 5 and 2 * k * k <= 3 * sum(mask.bit_count() for mask in masks):
+        count = state.memo[masks] = _rook_count(free, masks)
+    else:
+        count = state.memo[masks] = _matching_count(masks)
+    return count
+
+
+def _matching_count(masks: tuple) -> int:
+    """Ways to give each mask a distinct bank of its own: a DP over the
+    sets of banks used so far."""
     layer = {0: 1}
     for mask in masks:
         nxt: dict = {}
@@ -259,8 +279,38 @@ def completion_count(state: MappingState, column: ColumnRef) -> int:
                 key = used | bit
                 nxt[key] = nxt.get(key, 0) + count
         layer = nxt
-    count = state.memo[masks] = sum(layer.values())
-    return count
+    return sum(layer.values())
+
+
+def _rook_count(free: int, masks: tuple) -> int:
+    """The same count when each mask is a subset of the k banks of free:
+    the sum over j of (-1)^j r_j (k - j)!, with r_j the ways to place j
+    non-attacking rooks on the forbidden board, the free banks each mask
+    leaves out (Riordan 1958). Forbidden rows go by lowest bank; one dict
+    per rook count maps the used banks that a later row can still take
+    to the number of ways."""
+    rows = sorted((free & ~mask for mask in masks if mask != free), key=lambda row: row & -row)
+    live = [0] * (len(rows) + 1)
+    for i in range(len(rows) - 1, -1, -1):
+        live[i] = live[i + 1] | rows[i]
+    layers = [{0: 1}]
+    for row, keep in zip(rows, live[1:]):
+        nxt: list = [{} for _ in range(len(layers) + 1)]
+        for layer, stay, grow in zip(layers, nxt, nxt[1:]):
+            for used, ways in layer.items():
+                key = used & keep
+                stay[key] = stay.get(key, 0) + ways
+                bits = row & ~used
+                while bits:
+                    bit = bits & -bits
+                    bits ^= bit
+                    key = (used | bit) & keep
+                    grow[key] = grow.get(key, 0) + ways
+        layers = nxt if nxt[-1] else nxt[:-1]
+    k = len(masks)
+    return sum(
+        (-1) ** j * math.factorial(k - j) * sum(layer.values()) for j, layer in enumerate(layers)
+    )
 
 
 def select_target_column(state: MappingState) -> Optional[ColumnRef]:

@@ -3,6 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from hypothesis import strategies as st
 
@@ -164,3 +168,28 @@ def outcome_of(call, *args):
         return "ok", call(*args)
     except BankMapError as exc:
         return type(exc), str(exc)
+
+
+# The LTE turbo interleaver at its largest block size, a QPP with f1 = 263
+# and f2 = 480 (3GPP TS 36.212).
+LTE_QPP_6144 = [(263 * i + 480 * i * i) % 6144 for i in range(6144)]
+
+# the address-space cap of run_capped's child, in bytes
+ADDRESS_SPACE_CAP = 300 << 20
+
+
+def run_capped(code, *argv, timeout=60):
+    """Run python code, with argv as sys.argv[1:], in a child process whose
+    address space is capped at ADDRESS_SPACE_CAP and which imports
+    bankmap from this checkout; a run that outgrows the cap fails with
+    MemoryError instead of loading the host."""
+    prelude = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_CAP}, {ADDRESS_SPACE_CAP}))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )

@@ -21,7 +21,14 @@ from bankmap import (
 )
 from bankmap.cli import main
 from conftest import CROSSBAR_ONLY_MAPPING, DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
-from helpers import canonical_digest, damaged_ids, outcome_of, solver_report
+from helpers import (
+    LTE_QPP_6144,
+    canonical_digest,
+    damaged_ids,
+    outcome_of,
+    run_capped,
+    solver_report,
+)
 
 
 def write_json(path, doc):
@@ -431,6 +438,32 @@ def test_compare_reports_are_solve_reports(demo_file, capsys, argv, seeds):
         seed = ["--seed", str(report["seed"])] if "seed" in report else []
         _, out, _ = run(capsys, "solve", demo_file, "--solver", report["solver"], *seed)
         assert one_json_line(out) == report
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_compare_max_nodes_below_one_is_input_error(demo_file, capsys, budget):
+    code, out, err = run(capsys, "compare", demo_file, "--max-nodes", budget)
+    assert code == 1
+    assert out == ""
+    assert "--max-nodes: must be at least 1" in err
+
+
+def test_compare_max_nodes_reaches_the_baseline_at_x64_block_size(tmp_path):
+    # Without a budget the backtracking run at L=6144, X=64 never hands
+    # over to the baseline seeds; with one it stops after its first node.
+    problem = write_json(
+        tmp_path / "qpp.json", {"permutation": LTE_QPP_6144, "parallelism": 64}
+    )
+    code = "import sys\nfrom bankmap.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    run = run_capped(code, "compare", problem, "--max-nodes", "1", "--seed-range", "0:1")
+    assert run.returncode == 3, run.stderr[-2000:]
+    doc = json.loads(run.stdout)
+    assert doc["reports"][0]["stats"]["nodes"] == 1
+    assert [(r["solver"], r["seed"], r["status"], r["valid"]) for r in doc["summary"]["runs"]] == [
+        ("backtracking", None, "budget-exhausted", False),
+        ("baseline", 0, "solved", True),
+        ("baseline", 1, "solved", True),
+    ]
 
 
 def test_compare_single_pe_agrees(tmp_path, capsys):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bankmap import (
@@ -35,15 +35,17 @@ from bankmap import (
     validate_permutation,
     verify_mapping,
 )
-from bankmap.solver import TraceEvent, completion_count
+from bankmap.solver import TraceEvent, _matching_count, _rook_count, completion_count
 from conftest import DEMO_PERMUTATION, FIXTURE_DIR, KNOWN_MAPPING
 from helpers import (
+    LTE_QPP_6144,
     bank_grid,
     first_candidate,
     outcome_digest,
     position,
     problems,
     random_problem,
+    run_capped,
     schedule_column,
     size_parallelism_pairs,
 )
@@ -436,6 +438,60 @@ def test_column_moves_drop_counts_once_per_column(monkeypatch):
     assert sum(len(e.data) > 1 for e in outcome.trace if e.kind == "assign") > 10
 
 
+def permutation_count(free, masks):
+    # every ordering of the free banks over the cells, checked one by one
+    banks = [b for b in range(free.bit_length()) if free >> b & 1]
+    return sum(
+        all(mask >> b & 1 for mask, b in zip(masks, perm))
+        for perm in itertools.permutations(banks)
+    )
+
+
+@st.composite
+def count_boards(draw, max_k=8):
+    """(free, masks): k free banks out of 12 and one mask per cell, a
+    subset of free. Each cell forbids at most `spread` banks, so a draw
+    sits anywhere from no forbidden pair to all-empty masks."""
+    k = draw(st.integers(0, max_k))
+    banks = draw(st.lists(st.integers(0, 11), min_size=k, max_size=k, unique=True))
+    spread = draw(st.integers(0, k))
+    masks = []
+    for _ in range(k):
+        forbidden = draw(st.sets(st.sampled_from(banks), max_size=spread)) if k else set()
+        masks.append(sum(1 << b for b in banks if b not in forbidden))
+    return sum(1 << b for b in banks), tuple(sorted(masks))
+
+
+@given(count_boards())
+@example((0, ()))
+@example((0b11111, (0b11111,) * 5))  # no forbidden pair: 5!
+@example((0b11111, (0, 0b11111, 0b11111, 0b11111, 0b11111)))  # an empty mask
+# forbidden boards: three components, one per cell, and one six-cycle
+@example((0b111111, (0b111100, 0b111100, 0b110011, 0b110011, 0b001111, 0b001111)))
+@example((0b111111, (0b111110, 0b111101, 0b111011, 0b110111, 0b101111, 0b011111)))
+@example((0b111111, (0b111100, 0b111001, 0b110011, 0b100111, 0b001111, 0b011110)))
+def test_both_counts_match_enumeration(board):
+    free, masks = board
+    expected = permutation_count(free, masks)
+    assert _matching_count(masks) == expected
+    assert _rook_count(free, masks) == expected
+
+
+@pytest.mark.parametrize("k", [12, 14, 16])
+def test_rook_count_matches_dp_on_large_sparse_columns(k):
+    rng = random.Random(k)
+    banks = rng.sample(range(2 * k), k)
+    free = sum(1 << b for b in banks)
+    for _ in range(3):
+        masks = []
+        for _ in range(k):
+            forbidden = rng.sample(banks, rng.choice([0, 0, 1, 1, 2, 3]))
+            masks.append(free & ~sum(1 << b for b in forbidden))
+        masks = tuple(sorted(masks))
+        assert 2 * k * k <= 3 * sum(m.bit_count() for m in masks)  # the rook side of the rule
+        assert _rook_count(free, masks) == _matching_count(masks) > 0
+
+
 def test_solve_demo_reproduces_known_mapping(demo_problem):
     outcome = solve(demo_problem, BARREL)
     assert outcome.status is Status.SOLVED
@@ -521,6 +577,21 @@ def test_solve_budget_exhausted(demo_problem):
     assert outcome.status is Status.BUDGET_EXHAUSTED
     assert outcome.mapping is None
     assert outcome.stats.nodes <= 2
+
+
+def test_first_node_at_x64_block_size_fits_in_300_mib():
+    # Counting the first selection's columns at L=6144, X=64 needs the
+    # rook count: the bitmask DP alone exhausts the capped address space.
+    code = (
+        "import json\n"
+        "from bankmap import ProblemSpec, SolveOptions, solve, validate_permutation\n"
+        f"spec = ProblemSpec(validate_permutation({LTE_QPP_6144!r}), 64)\n"
+        "outcome = solve(spec, options=SolveOptions(max_nodes=1))\n"
+        "print(json.dumps([outcome.status.value, outcome.stats.nodes]))\n"
+    )
+    run = run_capped(code)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout) == ["budget-exhausted", 1]
 
 
 def test_strict_fails_where_relaxed_degrades(pinned):
